@@ -10,21 +10,25 @@ locally — one query never crosses workers (its few posting lists are
 co-resident), parallelism is across queries.
 
 Determinism (rank-identity contract, BASELINE.json:14): scores are float64;
-per doc, term contributions are accumulated in SORTED-TERM order — both the
-vectorized exhaustive DAAT path (np.add.at walks terms in sorted order) and
-the BMW path (full evaluation iterates sorted terms) reproduce the oracle's
-summation order bit-for-bit.  Ties break (score desc, doc_id asc).
+per doc, term contributions are accumulated in SORTED-TERM order — the
+exhaustive DAAT path and the WAND/BMW interval scorer both sum term-major
+with np.add.at, reproducing the oracle's summation order bit-for-bit.  Ties
+break (score desc, doc_id asc).
 
 Scorers:
   daat : exhaustive document-at-a-time, fully vectorized (numpy gather+add).
-  wand : WAND (Broder et al., CIKM 2003) with per-term upper bounds.
-  bmw  : block-max WAND (Ding & Suel, SIGIR 2011) using per-block maxes.
+  bmw  : block-max WAND (Ding & Suel, SIGIR 2011), vectorized: the union of
+         the terms' block starts cuts the doc-id space into intervals bounded
+         by the sum of their per-block maxes; the best intervals seed a
+         threshold, then only intervals whose bound reaches it are scored
+         (score_block_max).
+  wand : WAND (Broder et al., CIKM 2003): the same scorer with one block per
+         term, bounded by the term's overall max.
 """
 
 from __future__ import annotations
 
 import glob
-import heapq
 import json
 import os
 
@@ -34,8 +38,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data
 
-from ..functions.bm25 import idf as bm25_idf
-from ..functions.bm25 import tf_norm, top_k_with_ties
+from ..functions.bm25 import top_k_with_ties
 from ..functions.codecs import decode_docids, decode_values
 from ..functions.hashing import polyhash_column
 from ..functions.text import tokenize
@@ -76,11 +79,11 @@ class _TermPostings:
 
     @property
     def blk_first(self):
-        return np.asarray(self._tbl["block_first_docid"][self._row].as_py(), dtype=np.int64)
+        return self._tbl["block_first_docid"][self._row].values.to_numpy()
 
     @property
     def blk_max(self):
-        return np.asarray(self._tbl["block_max_tfnorm"][self._row].as_py(), dtype=np.float64)
+        return self._tbl["block_max_tfnorm"][self._row].values.to_numpy()
 
 
 @ray.remote
@@ -272,6 +275,15 @@ class ScorerActor:
         for i in order:
             self._terms.setdefault(terms[i], []).append(_TermPostings(dfs[i], t, i))
 
+    def _term_rows(self, term: str) -> list[_TermPostings] | None:
+        """term → its segment rows (salt order), loading the term's bucket
+        first; the hash is skipped once every bucket is loaded."""
+        if len(self._loaded_buckets) < self.n_buckets:
+            # int() BEFORE the mod: numpy uint64 % python int silently promotes
+            # to float64 and rounds the 64-bit hash (wrong bucket)
+            self._load_bucket(int(polyhash_column(pa.array([term]))[0]) % self.n_buckets)
+        return self._terms.get(term)
+
     # decoded-postings LRU: repeated query terms (stopword-like identifiers
     # dominate real query logs) skip varbyte re-decode.  Budget counts
     # postings, not entries, so a few huge lists can't blow the heap.
@@ -289,11 +301,7 @@ class ScorerActor:
         if hit is not None and (hit[4] is not None or not need_blocks):
             self._decoded.move_to_end(term)
             return hit
-        # int() BEFORE the mod: numpy uint64 % python int silently promotes
-        # to float64 and rounds the 64-bit hash (wrong bucket)
-        bucket = int(polyhash_column(pa.array([term]))[0]) % self.n_buckets
-        self._load_bucket(bucket)
-        rows = self._terms.get(term)
+        rows = self._term_rows(term)
         if not rows:
             return None
         if hit is not None:  # decoded before without blocks; add them now
@@ -329,9 +337,7 @@ class ScorerActor:
         salt order like _postings (disjoint ascending doc ranges)."""
         from ..functions.codecs import decode_positions
 
-        bucket = int(polyhash_column(pa.array([term]))[0]) % self.n_buckets
-        self._load_bucket(bucket)
-        rows = self._terms.get(term)
+        rows = self._term_rows(term)
         if not rows:
             return None
         docids_parts, tf_parts, pos_parts = [], [], []
@@ -495,12 +501,9 @@ class ScorerActor:
                 pos[pos == allowed.size] = 0
                 hit = hit[allowed[pos] == hit]
             return top_k_with_ties(hit, scores[hit], self.k)
-        docs = np.concatenate([d for d, _ in plists])
-        contribs = np.concatenate([c for _, c in plists])
-        uniq, inv = np.unique(docs, return_inverse=True)
-        scores = np.zeros(uniq.size, dtype=np.float64)
-        # np.add.at processes elements in array order == sorted-term order per doc
-        np.add.at(scores, inv, contribs)
+        uniq, scores = _sum_by_doc(
+            np.concatenate([d for d, _ in plists]), np.concatenate([c for _, c in plists])
+        )
         if allowed is not None:
             pos = np.searchsorted(allowed, uniq)
             pos[pos == allowed.size] = 0
@@ -509,139 +512,30 @@ class ScorerActor:
         return top_k_with_ties(uniq, scores, self.k)
 
     def _score_query_wand(self, terms: list[str], use_block_max: bool):
-        """WAND / block-max WAND. Returns (doc_ids, scores) top-k."""
-        n, avgdl, k1, b = (
-            self.stats["n_docs"],
-            self.stats["avgdl"],
-            self.stats["k1"],
-            self.stats["b"],
-        )
-        plists = []  # (term order preserved: sorted)
+        """WAND / block-max WAND via :func:`score_block_max`. WAND is the
+        same scorer with one block per term, bounded by the term's max."""
+        lists = []
         for term in terms:
             p = self._postings(term)
             if p is None:
                 continue
-            df, docids, tfs, dls, blk_first, blk_max = p
-            w = self.scoring.idf(df, n)
-            plists.append(
-                {
-                    "docids": docids,
-                    "tfs": tfs,
-                    "dls": dls,
-                    "pos": 0,
-                    "idf": w,
-                    "ub": (
-                        w * float(blk_max.max()) * self.bm_slack
-                        if blk_max.size
-                        else 0.0
-                    ),
-                    "blk_first": blk_first,
-                    "blk_max": blk_max,
-                }
-            )
-        if not plists:
-            return np.empty(0, dtype=np.int64), np.empty(0)
-        heap: list[tuple[float, int]] = []  # (score, -doc_id) min-heap of top-k
-        k = self.k
-
-        def threshold():
-            return heap[0][0] if len(heap) >= k else -np.inf
-
-        def better(score, doc_id):
-            # would (score, doc_id) beat the current k-th? ties lose to
-            # smaller doc_id already in heap
-            if len(heap) < k:
-                return True
-            ts, tneg = heap[0]
-            if score != ts:
-                return score > ts
-            return doc_id < -tneg
-
-        live = [p for p in plists if p["docids"].size]
-        while True:
-            live = [p for p in live if p["pos"] < p["docids"].size]
-            if not live:
-                break
-            live.sort(key=lambda p: p["docids"][p["pos"]])
-            # find pivot: smallest prefix whose UB sum exceeds threshold
-            ub_sum, pivot = 0.0, None
-            th = threshold()
-            for i, p in enumerate(live):
-                ub_sum += p["ub"]
-                if ub_sum * (1 + _UB_EPS) + 1e-300 > th:
-                    pivot = i
-                    break
-            if pivot is None:
-                break  # even all terms together can't beat the threshold
-            pivot_doc = int(live[pivot]["docids"][live[pivot]["pos"]])
-            # extend the pivot over every list already positioned at pivot_doc:
-            # their block maxes MUST count toward the upper bound, or the
-            # block-max skip below would under-estimate pivot_doc's score
-            while (
-                pivot + 1 < len(live)
-                and int(live[pivot + 1]["docids"][live[pivot + 1]["pos"]]) == pivot_doc
-            ):
-                pivot += 1
-            if use_block_max:
-                # refine with block maxes at the pivot doc
-                bub = 0.0
-                for p in live[: pivot + 1]:
-                    j = int(np.searchsorted(p["blk_first"], pivot_doc, side="right")) - 1
-                    if 0 <= j < p["blk_max"].size:
-                        bub += p["idf"] * float(p["blk_max"][j]) * self.bm_slack
-                if bub * (1 + _UB_EPS) + 1e-300 <= th:
-                    # advance the term with the largest idf past pivot_doc
-                    adv = max(live[: pivot + 1], key=lambda p: p["ub"])
-                    adv["pos"] = int(
-                        np.searchsorted(adv["docids"], pivot_doc, side="right")
-                    )
-                    continue
-            if int(live[0]["docids"][live[0]["pos"]]) == pivot_doc:
-                # fully evaluate pivot_doc: sorted-term order == plists order
-                score = 0.0
-                for p in plists:
-                    pos = int(np.searchsorted(p["docids"], pivot_doc))
-                    if pos < p["docids"].size and p["docids"][pos] == pivot_doc:
-                        score += p["idf"] * float(
-                            self.scoring.tf_norm(
-                                np.array([p["tfs"][pos]], dtype=np.float64),
-                                np.array([p["dls"][pos]], dtype=np.float64),
-                                avgdl,
-                            )[0]
-                        )
-                if better(score, pivot_doc):
-                    heapq.heappush(heap, (score, -pivot_doc))
-                    if len(heap) > k:
-                        heapq.heappop(heap)
-                for p in live:
-                    if p["pos"] < p["docids"].size and p["docids"][p["pos"]] == pivot_doc:
-                        p["pos"] += 1
-            else:
-                # advance preceding lists to pivot_doc
-                for p in live[:pivot]:
-                    p["pos"] = int(np.searchsorted(p["docids"], pivot_doc))
-        if not heap:
-            return np.empty(0, dtype=np.int64), np.empty(0)
-        items = sorted(heap, key=lambda sn: (-sn[0], -sn[1]))
-        return (
-            np.array([-neg for _s, neg in items], dtype=np.int64),
-            np.array([s for s, _n in items], dtype=np.float64),
-        )
+            df, docids, _tfs, _dls, blk_first, blk_max = p
+            bound = self.scoring.idf(df, self.stats["n_docs"]) * self.bm_slack * blk_max
+            if not use_block_max:
+                blk_first, bound = docids[:1], bound.max(initial=0.0, keepdims=True)
+            lists.append((docids, self._contrib(term)[1], blk_first, bound))
+        return score_block_max(lists, self.k)[:2]
 
     # crossover for the "auto" scorer: vectorized exhaustive DAAT costs
-    # ~10ns/posting (numpy gather+add), the Python WAND loop ~µs/pivot —
-    # skipping only pays once the candidate volume is large AND upper
-    # bounds let most of it be skipped.  Below this Σdf, DAAT always wins.
+    # ~10ns/posting (numpy gather+add); the interval BMW scorer adds fixed
+    # per-query work (interval bounds, two scoring passes) that only pays
+    # once the candidate volume is large AND bounds prune most of it.  This
+    # value was tuned for a per-pivot Python loop; the crossover against
+    # score_block_max has not been re-measured yet.
     AUTO_DAAT_MAX_POSTINGS = 5_000_000
 
     def _df_total(self, terms: list[str]) -> int:
-        total = 0
-        for term in terms:
-            bucket = int(polyhash_column(pa.array([term]))[0]) % self.n_buckets
-            self._load_bucket(bucket)
-            for r in self._terms.get(term, ()):
-                total += r.df
-        return total
+        return sum(r.df for term in terms for r in self._term_rows(term) or ())
 
     def score_query(self, text: str, allowed: np.ndarray | None = None):
         """Rank top-k for one query; ``allowed`` (optional SORTED unique
@@ -689,6 +583,69 @@ class ScorerActor:
                 "score": pa.array(scores, pa.float64()),
             }
         )
+
+
+def _sum_by_doc(docs: np.ndarray, contribs: np.ndarray):
+    """Term-major (doc, contribution) pairs → (sorted unique docs, scores).
+    np.add.at adds in array order, so each doc's terms are summed in the
+    order their lists were concatenated (sorted-term order: oracle bits)."""
+    uniq, inv = np.unique(docs, return_inverse=True)
+    scores = np.zeros(uniq.size, dtype=np.float64)
+    np.add.at(scores, inv, contribs)
+    return uniq, scores
+
+
+def score_block_max(lists: list[tuple], k: int):
+    """Exact top-k by block-max interval pruning → (doc_ids, scores,
+    postings_scored).
+
+    ``lists`` holds one ``(docids, contrib, blk_first, blk_bound)`` per query
+    term, in sorted-term order: ascending unique doc ids, each posting's
+    score contribution, each block's first doc id (``blk_first[0] ==
+    docids[0]``) and an upper bound on the contributions in each block.
+
+    The union of all block starts cuts the doc-id space into intervals in
+    which every term stays inside one block, so an interval's bound is the
+    sum of the bounds of the blocks with postings in it.  Pass 1 scores the
+    highest-bound intervals until one term has k postings there; the k-th
+    best of those exact scores, ``th``, is at most the true k-th score.
+    Pass 2 scores every other interval whose bound can reach ``th`` — each
+    true top-k doc lies in one.  Every doc is scored whole (all its postings
+    share one interval) by :func:`_sum_by_doc`, so scores equal DAAT's bit
+    for bit; ``postings_scored`` counts each posting touched once."""
+    lists = [t for t in lists if t[0].size]
+    if not lists or k < 1:
+        return np.empty(0, dtype=np.int64), np.empty(0), 0
+    cuts = np.unique(np.concatenate([t[2] for t in lists]))
+    # one past the last doc id closes the last interval
+    edges = np.append(cuts, max(int(t[0][-1]) for t in lists) + 1)
+    counts, ub = [], np.zeros(cuts.size)
+    for docids, _contrib, blk_first, blk_bound in lists:
+        c = np.diff(np.searchsorted(docids, edges))
+        j = np.searchsorted(blk_first, cuts, side="right") - 1
+        ub += np.where(c > 0, blk_bound[j], 0.0)
+        counts.append(c)
+
+    def score(mask):
+        docs, contribs = [], []
+        for (docids, contrib, _f, _b), c in zip(lists, counts):
+            keep = np.repeat(mask, c)
+            docs.append(docids[keep])
+            contribs.append(contrib[keep])
+        docs = np.concatenate(docs)
+        return _sum_by_doc(docs, np.concatenate(contribs)), docs.size
+
+    order = np.argsort(-ub, kind="stable")
+    reach = np.cumsum(np.stack(counts)[:, order], axis=1).max(axis=0) >= k
+    done = np.zeros(cuts.size, dtype=bool)
+    th, d1, s1, n1 = -np.inf, np.empty(0, dtype=np.int64), np.empty(0), 0
+    if reach[-1]:
+        done[order[: int(np.argmax(reach)) + 1]] = True
+        (d1, s1), n1 = score(done)
+        th = np.partition(s1, s1.size - k)[s1.size - k]
+    (d2, s2), n2 = score(~done & (ub * (1 + _UB_EPS) + 1e-300 > th))
+    d, s = top_k_with_ties(np.concatenate([d1, d2]), np.concatenate([s1, s2]), k)
+    return d, s, n1 + n2
 
 
 def _min_cover_span(ev: np.ndarray, k: int) -> int:

@@ -1,7 +1,8 @@
 """Hypothesis property tests for the pure kernels (SURVEY.md §5.2):
 codec roundtrips over arbitrary value distributions (every decode fast path
 and the general path), tokenizer scalar/vectorized agreement on arbitrary
-unicode, and minhash permutation bounds."""
+unicode, minhash permutation bounds, and block-max interval scoring against
+brute-force per-doc sums."""
 
 from __future__ import annotations
 
@@ -336,3 +337,64 @@ def test_ivf_assign_ties_to_smallest_cid(seed):
     for i in range(9):
         best = dots[i].max()
         assert got[i] == int(np.flatnonzero(dots[i] == best)[0])
+
+
+def _block_max_lists(terms, block_size, slack):
+    """(doc ids, contributions) per term → score_block_max input lists."""
+    from sharesci_ray.functions.codecs import block_layout
+
+    lists = []
+    for docs in terms:
+        d = np.array(sorted(docs), dtype=np.int64)
+        c = np.array([docs[x] for x in sorted(docs)], dtype=np.float64)
+        first, bmax = block_layout(d, c, block_size)
+        lists.append((d, c, first, bmax * slack))
+    return lists
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        # per term: doc id → contribution; few distinct values force exact
+        # score ties at the k-th place, empty dicts are OOV terms
+        st.dictionaries(
+            st.integers(0, 80),
+            st.one_of(st.sampled_from([0.25, 0.5, 1.0, 1.5]), st.floats(1e-3, 10.0)),
+            max_size=40,
+        ),
+        max_size=5,
+    ),
+    st.integers(1, 8),
+    st.integers(1, 50),
+    st.sampled_from([1.0, 1.0, 1.7, 4.0]),
+)
+def test_score_block_max_matches_bruteforce(terms, block_size, k, slack):
+    """Interval block-max scoring ≡ brute-force per-doc sums (terms added in
+    list order) cut by top_k_with_ties — ids and score bits."""
+    from sharesci_ray.functions.bm25 import top_k_with_ties
+    from sharesci_ray.pipelines.query import score_block_max
+
+    sums: dict[int, float] = {}
+    for docs in terms:
+        for d in sorted(docs):
+            sums[d] = sums.get(d, 0.0) + docs[d]
+    ids = np.array(sorted(sums), dtype=np.int64)
+    exp_d, exp_s = top_k_with_ties(ids, np.array([sums[d] for d in ids.tolist()]), k)
+    got_d, got_s, n = score_block_max(_block_max_lists(terms, block_size, slack), k)
+    assert got_d.tolist() == exp_d.tolist()
+    assert got_s.tolist() == exp_s.tolist()
+    assert n <= sum(len(t) for t in terms)
+
+
+def test_score_block_max_prunes_skewed_query():
+    """A rare high-weight term clustered in one block sets a threshold no
+    other interval of the common term can reach: most postings are skipped."""
+    from sharesci_ray.pipelines.query import score_block_max
+
+    common = {d: 0.1 for d in range(0, 2000, 2)}
+    rare = {d: 5.0 for d in (1000, 1002, 1004)}
+    lists = _block_max_lists([common, rare], 8, 1.0)
+    d, s, n = score_block_max(lists, 3)
+    assert d.tolist() == [1000, 1002, 1004]
+    assert s.tolist() == [0.1 + 5.0] * 3
+    assert n < len(common) + len(rare)
