@@ -128,15 +128,6 @@ def ann_lsh_sql() -> str:
     ) WHERE rank <= {ANN_K}
     """
 
-PARTIAL_SCHEMA = pa.schema(
-    [("query_id", pa.int64()), ("neighbor_id", pa.int64()), ("score", pa.float64())]
-)
-
-TOPK_SCHEMA = pa.schema(
-    [("query_id", pa.int64()), ("rank", pa.int64()), ("neighbor_id", pa.int64())]
-)
-
-
 def embedding_matrix(batch: pa.Table) -> np.ndarray:
     """list<float> column → (n, dim) float64 matrix, zero-copy flatten."""
     col = batch["embedding"]
@@ -163,67 +154,16 @@ def ivf_assign(quant: np.ndarray, cent_q: np.ndarray) -> np.ndarray:
     return np.argmax(quant @ cent_q.T, axis=1).astype(np.int64)
 
 
-def final_topk_scored(
-    group: pa.Table, k: int, out_schema: pa.Schema, score_col: str = "score_q"
-) -> pa.Table:
-    """final_topk's integer-score twin: per-query merge of partial
-    candidates → ranked top-k (score desc, neighbor_id asc) KEEPING the
-    score column.  ONE definition shared by ann_pq_topk and
-    query_pq_index (review r4 drift containment)."""
-    if group.num_rows == 0:
-        return out_schema.empty_table()
-    s = group[score_col].to_numpy(zero_copy_only=False)
-    n = group["neighbor_id"].to_numpy(zero_copy_only=False)
-    order = np.lexsort((n, -s))[:k]
-    return pa.table(
-        {
-            "query_id": pc.cast(group["query_id"].take(pa.array(order)), pa.int64()),
-            "rank": pa.array(np.arange(1, order.size + 1), pa.int64()),
-            "neighbor_id": pa.array(n[order], pa.int64()),
-            score_col: pa.array(s[order], pa.int64()),
-        },
-        schema=out_schema,
-    )
-
-
-def final_topk(group: pa.Table, k: int) -> pa.Table:
-    """Per-query merge of partial candidates → ranked top-k
-    (score desc, neighbor_id asc)."""
-    if group.num_rows == 0:
-        return TOPK_SCHEMA.empty_table()
-    s = group["score"].to_numpy(zero_copy_only=False)
-    n = group["neighbor_id"].to_numpy(zero_copy_only=False)
-    order = np.lexsort((n, -s))[:k]
-    return pa.table(
-        {
-            "query_id": pc.cast(group["query_id"].take(pa.array(order)), pa.int64()),
-            "rank": pa.array(np.arange(1, order.size + 1), pa.int64()),
-            "neighbor_id": pa.array(n[order], pa.int64()),
-        },
-        schema=TOPK_SCHEMA,
-    )
-
-
-def final_topk_dedupe(group: pa.Table, k: int) -> pa.Table:
-    """Union candidates across tables (dedupe neighbors — scores for a
-    given (query, neighbor) are identical across tables) → exact top-k."""
-    if group.num_rows == 0:
-        return TOPK_SCHEMA.empty_table()
-    n = group["neighbor_id"].to_numpy(zero_copy_only=False)
-    s = group["score"].to_numpy(zero_copy_only=False)
-    uniq, first = np.unique(n, return_index=True)
-    s = s[first]
-    order = np.lexsort((uniq, -s))[:k]
-    return pa.table(
-        {
-            "query_id": pc.cast(
-                group["query_id"].take(pa.array(first[order])), pa.int64()
-            ),
-            "rank": pa.array(np.arange(1, order.size + 1), pa.int64()),
-            "neighbor_id": pa.array(uniq[order], pa.int64()),
-        },
-        schema=TOPK_SCHEMA,
-    )
+def probe_candidates(want, q_rows: dict, q_mat: np.ndarray, ids, mat):
+    """Flat (query_id, neighbor_id, cosine) candidates of the probing
+    queries ``want`` against one LSH bucket's (ids, normalized matrix),
+    self-matches dropped.  One vector-matrix product per query: the same
+    score expression in every table, so a pair's score is identical
+    wherever it is probed (the union merge dedupes on it)."""
+    q = np.asarray(want, dtype=np.int64)
+    sims = np.stack([q_mat[q_rows[x]] @ mat.T for x in want])
+    r, c = np.nonzero(ids[None, :] != q[:, None])
+    return q[r], ids[c], sims[r, c]
 
 
 def ivf_cand_ctes(

@@ -27,6 +27,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions import topk as tk
 from ..functions.text import SQL_TOKENIZE, flat_tokens, tokenize
 from ..sources.corpus import documents_as_corpus, read_table
 from .util import join_partitions
@@ -1154,23 +1155,17 @@ def tfidf_cosine_topk(sf_dir: str):
         on=("doc_id",),
     )
 
+    ranked = pa.schema(
+        [("query_id", pa.int64()), ("rank", pa.int64()), ("doc_id", pa.int64())]
+    )
+
     def topk(group: pa.Table) -> pa.Table:
         if group.num_rows == 0:
-            return pa.schema(
-                [("query_id", pa.int64()), ("rank", pa.int64()), ("doc_id", pa.int64())]
-            ).empty_table()
-        ids = group["doc_id"].to_numpy(zero_copy_only=False)
+            return ranked.empty_table()
         num = group["num"].to_numpy(zero_copy_only=False)
         nrm = np.sqrt(group["sum(wsq)"].to_numpy(zero_copy_only=False))
-        s = num / nrm
-        order = np.lexsort((ids, -s))[:10]
-        return pa.table(
-            {
-                "query_id": pc.cast(group["query_id"].take(pa.array(order)), pa.int64()),
-                "rank": pa.array(np.arange(1, order.size + 1), pa.int64()),
-                "doc_id": pa.array(ids[order], pa.int64()),
-            }
-        )
+        scored = group.append_column("score", pa.array(num / nrm))
+        return tk.final_topk(scored, 10, ranked)
 
     return joined.groupby("query_id").map_groups(topk, batch_format="pyarrow")
 

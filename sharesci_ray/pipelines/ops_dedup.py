@@ -28,6 +28,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions import dedup as dd
+from ..functions import topk as tk
 from ..functions import vectors as vx
 from ..functions.text import SQL_TOKENIZE, flat_tokens
 from ..sources.corpus import read_table
@@ -144,10 +145,6 @@ def _with_fold(key_cols: list[str], schema: pa.Schema, n_buckets: int):
         )
 
     return add_fold
-
-
-_TOPK_SCHEMA = vx.TOPK_SCHEMA
-_final_topk = vx.final_topk
 
 
 def _query_matrix(emb, n_queries: int):
@@ -1096,36 +1093,16 @@ def ann_topk_cosine(sf_dir: str):
     q_ids, q_mat = _query_matrix(emb, _ANN_NQ)
     ref = ray.put((q_ids, q_mat))
 
-    def partial_topk(batch: pa.Table) -> pa.Table:
+    @tk.partial_topk(_ANN_K)
+    def partial(batch: pa.Table):
         qi, qm = ray.get(ref)
         b_ids = batch["vec_id"].to_numpy(zero_copy_only=False)
-        b_mat = _normalize(_embedding_matrix(batch))
-        sims = qm @ b_mat.T  # (nq, batch)
-        out_q, out_n, out_s = [], [], []
-        for r in range(qi.size):
-            s = sims[r]
-            mask = b_ids != qi[r]
-            idx = np.flatnonzero(mask)
-            if idx.size == 0:
-                continue
-            # partial top-k inside the batch: score desc, vec_id asc
-            order = idx[np.lexsort((b_ids[idx], -s[idx]))][:_ANN_K]
-            out_q.extend([qi[r]] * order.size)
-            out_n.extend(b_ids[order])
-            out_s.extend(s[order])
-        return pa.table(
-            {
-                "query_id": pa.array(out_q, pa.int64()),
-                "neighbor_id": pa.array(out_n, pa.int64()),
-                "score": pa.array(out_s, pa.float64()),
-            }
-        )
+        sims = qm @ _normalize(_embedding_matrix(batch)).T  # (nq, batch)
+        r, c = np.nonzero(b_ids != qi[:, None])  # never self-match
+        return qi[r], b_ids[c], sims[r, c]
 
-    partials = emb.map_batches(partial_topk, batch_format="pyarrow", zero_copy_batch=True)
-
-    return partials.groupby("query_id").map_groups(
-        lambda g: _final_topk(g, _ANN_K), batch_format="pyarrow"
-    )
+    partials = emb.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
+    return tk.merge_topk(partials, _ANN_K)
 
 
 # ---- LSH-bucketed ANN: the scale path (now with a FULL SQL oracle) --------
@@ -1149,9 +1126,6 @@ _quantize = vx.quantize
 _bucket_of = vx.bucket_of
 _lsh_buckets_sql = vx.lsh_buckets_sql
 _ann_lsh_sql = vx.ann_lsh_sql
-
-
-_PARTIAL_SCHEMA = vx.PARTIAL_SCHEMA
 
 
 @op("ann_lsh_topk", _ann_lsh_sql())
@@ -1224,37 +1198,18 @@ def ann_lsh_topk(sf_dir: str, verify: bool = False):
 
     bucketed = emb.map_batches(add_buckets, batch_format="pyarrow", zero_copy_batch=True)
 
-    def score_bucket(group: pa.Table) -> pa.Table:
+    @tk.partial_topk(_ANN_K)
+    def score_bucket(group: pa.Table):
         qi, qm, pr = ray.get(ref)
-        if group.num_rows == 0:
-            return _PARTIAL_SCHEMA.empty_table()
         t = int(group["table_id"][0].as_py())
         bucket = int(group["bucket"][0].as_py())
         want = pr.get((t, bucket))
         if not want:
-            return _PARTIAL_SCHEMA.empty_table()
-        b_ids = group["vec_id"].to_numpy(zero_copy_only=False)
-        b_mat = _normalize(_embedding_matrix(group))
+            return None
+        b_ids = group["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         rows = {int(q): i for i, q in enumerate(qi)}
-        out_q, out_n, out_s = [], [], []
-        for q in want:
-            s = qm[rows[q]] @ b_mat.T
-            idx = np.flatnonzero(b_ids != q)
-            if idx.size == 0:
-                continue
-            order = idx[np.lexsort((b_ids[idx], -s[idx]))][:_ANN_K]
-            out_q.extend([q] * order.size)
-            out_n.extend(b_ids[order])
-            out_s.extend(s[order])
-        if not out_q:
-            return _PARTIAL_SCHEMA.empty_table()
-        return pa.table(
-            {
-                "query_id": pa.array(out_q, pa.int64()),
-                "neighbor_id": pa.array(out_n, pa.int64()),
-                "score": pa.array(out_s, pa.float64()),
-            },
-            schema=_PARTIAL_SCHEMA,
+        return vx.probe_candidates(
+            want, rows, qm, b_ids, _normalize(_embedding_matrix(group))
         )
 
     partials = bucketed.groupby(["table_id", "bucket"]).map_groups(
@@ -1263,9 +1218,7 @@ def ann_lsh_topk(sf_dir: str, verify: bool = False):
 
     # union candidates across tables (dedupe — scores for a (query,
     # neighbor) pair are identical across tables) → exact top-k
-    lsh = partials.groupby("query_id").map_groups(
-        lambda g: vx.final_topk_dedupe(g, _ANN_K), batch_format="pyarrow"
-    )
+    lsh = tk.merge_topk(partials, _ANN_K, dedupe=True)
     if not verify:
         return lsh  # streaming result; buckets/candidates oracle-checked
 
@@ -1655,42 +1608,19 @@ def ann_ivf_topk(sf_dir: str, verify: bool = False):
         probe_masks[r, probe[r]] = True
     ref = ray.put((q_ids, q_mat, cent_q, probe_masks))
 
-    def partial_topk(batch: pa.Table) -> pa.Table:
+    @tk.partial_topk(_ANN_K)
+    def partial(batch: pa.Table):
         qi, qm, cq, pm = ray.get(ref)
-        if batch.num_rows == 0:
-            return _PARTIAL_SCHEMA.empty_table()
         b_ids = batch["vec_id"].to_numpy(zero_copy_only=False)
         b_raw = _embedding_matrix(batch)
         assign = _ivf_assign(_quantize(b_raw), cq)
-        b_mat = _normalize(b_raw)
-        sims = qm @ b_mat.T  # (nq, batch) float64
-        out_q, out_n, out_s = [], [], []
-        for r in range(qi.size):
-            mask = pm[r][assign] & (b_ids != qi[r])
-            idx = np.flatnonzero(mask)
-            if idx.size == 0:
-                continue
-            s = sims[r]
-            order = idx[np.lexsort((b_ids[idx], -s[idx]))][:_ANN_K]
-            out_q.extend([qi[r]] * order.size)
-            out_n.extend(b_ids[order])
-            out_s.extend(s[order])
-        if not out_q:
-            return _PARTIAL_SCHEMA.empty_table()
-        return pa.table(
-            {
-                "query_id": pa.array(out_q, pa.int64()),
-                "neighbor_id": pa.array(out_n, pa.int64()),
-                "score": pa.array(out_s, pa.float64()),
-            },
-            schema=_PARTIAL_SCHEMA,
-        )
+        sims = qm @ _normalize(b_raw).T  # (nq, batch) float64
+        r, c = np.nonzero(pm[:, assign] & (b_ids != qi[:, None]))
+        return qi[r], b_ids[c], sims[r, c]
 
-    partials = emb.map_batches(partial_topk, batch_format="pyarrow",
+    partials = emb.map_batches(partial, batch_format="pyarrow",
                                zero_copy_batch=True)
-    ivf = partials.groupby("query_id").map_groups(
-        lambda g: _final_topk(g, _ANN_K), batch_format="pyarrow"
-    )
+    ivf = tk.merge_topk(partials, _ANN_K)
     if not verify:
         return ivf
 
@@ -2222,46 +2152,21 @@ def ann_topk_filtered(sf_dir: str):
     ref = ray.put((q_ids, q_mat))
     allowed = pa.array(list(_FILTER_LABELS), pa.int64())
 
-    def partial_topk(batch: pa.Table) -> pa.Table:
+    @tk.partial_topk(_ANN_K)
+    def partial(batch: pa.Table):
         batch = batch.filter(
             pc.is_in(pc.cast(batch["label"], pa.int64()), value_set=allowed)
         )
-        qi, qm = ray.get(ref)
-        out_schema = pa.schema(
-            [("query_id", pa.int64()), ("neighbor_id", pa.int64()),
-             ("score", pa.float64())]
-        )
         if batch.num_rows == 0:
-            return out_schema.empty_table()
+            return None
+        qi, qm = ray.get(ref)
         b_ids = batch["vec_id"].to_numpy(zero_copy_only=False)
-        b_mat = _normalize(_embedding_matrix(batch))
-        sims = qm @ b_mat.T
-        out_q, out_n, out_s = [], [], []
-        for r in range(qi.size):
-            s = sims[r]
-            mask = b_ids != qi[r]
-            idx = np.flatnonzero(mask)
-            if idx.size == 0:
-                continue
-            order = idx[np.lexsort((b_ids[idx], -s[idx]))][:_ANN_K]
-            out_q.extend([qi[r]] * order.size)
-            out_n.extend(b_ids[order])
-            out_s.extend(s[order])
-        return pa.table(
-            {
-                "query_id": pa.array(out_q, pa.int64()),
-                "neighbor_id": pa.array(out_n, pa.int64()),
-                "score": pa.array(out_s, pa.float64()),
-            },
-            schema=out_schema,
-        )
+        sims = qm @ _normalize(_embedding_matrix(batch)).T
+        r, c = np.nonzero(b_ids != qi[:, None])
+        return qi[r], b_ids[c], sims[r, c]
 
-    partials = emb.map_batches(
-        partial_topk, batch_format="pyarrow", zero_copy_batch=True
-    )
-    return partials.groupby("query_id").map_groups(
-        lambda g: _final_topk(g, _ANN_K), batch_format="pyarrow"
-    )
+    partials = emb.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
+    return tk.merge_topk(partials, _ANN_K)
 
 
 # ===========================================================================

@@ -43,6 +43,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions import dedup as dd
+from ..functions import topk as tk
 from ..functions import vectors as vx
 from ..functions.text import flat_tokens
 from ..sources.corpus import read_table
@@ -54,12 +55,10 @@ from .ops import _TOKS, op
 _ANN_K, _ANN_NQ = dd.ANN_K, dd.ANN_NQ
 _IVF_C, _IVF_PROBE = vx.IVF_C, vx.IVF_PROBE
 _embedding_matrix = vx.embedding_matrix
-_final_topk = vx.final_topk
 _ivf_assign = vx.ivf_assign
 _ivf_sql = vx.ivf_sql
 _normalize = vx.normalize
 _quantize = vx.quantize
-_PARTIAL_SCHEMA = vx.PARTIAL_SCHEMA
 
 # ===========================================================================
 # Deterministic hashing-trick embedder
@@ -291,10 +290,9 @@ def ann_docs_topk(sf_dir: str):
     q_mat = np.array([r["embedding"] for r in q_rows], dtype=np.float64)
     ref = ray.put((q_ids, q_mat))
 
-    def partial_topk(batch: pa.Table) -> pa.Table:
+    @tk.partial_topk(_ANN_K)
+    def partial(batch: pa.Table):
         qi, qm = ray.get(ref)
-        if batch.num_rows == 0:
-            return _PARTIAL_SCHEMA.empty_table()
         b_ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         col = batch["embedding"]
         if isinstance(col, pa.ChunkedArray):
@@ -309,34 +307,11 @@ def ann_docs_topk(sf_dir: str):
         sims = np.zeros((qi.size, b_ids.size), dtype=np.float64)
         for d in range(qm.shape[1]):
             sims += qm[:, d : d + 1] * b_mat[:, d][None, :]
-        out_q, out_n, out_s = [], [], []
-        for r in range(qi.size):
-            mask = b_ids != qi[r]
-            idx = np.flatnonzero(mask)
-            if idx.size == 0:
-                continue
-            s = sims[r]
-            order = idx[np.lexsort((b_ids[idx], -s[idx]))][:_ANN_K]
-            out_q.extend([qi[r]] * order.size)
-            out_n.extend(b_ids[order])
-            out_s.extend(s[order])
-        if not out_q:
-            return _PARTIAL_SCHEMA.empty_table()
-        return pa.table(
-            {
-                "query_id": pa.array(out_q, pa.int64()),
-                "neighbor_id": pa.array(out_n, pa.int64()),
-                "score": pa.array(out_s, pa.float64()),
-            },
-            schema=_PARTIAL_SCHEMA,
-        )
+        r, c = np.nonzero(b_ids != qi[:, None])
+        return qi[r], b_ids[c], sims[r, c]
 
-    partials = vecs.map_batches(
-        partial_topk, batch_format="pyarrow", zero_copy_batch=True
-    )
-    return partials.groupby("query_id").map_groups(
-        lambda g: _final_topk(g, _ANN_K), batch_format="pyarrow"
-    )
+    partials = vecs.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
+    return tk.merge_topk(partials, _ANN_K)
 
 
 # ===========================================================================
@@ -847,47 +822,24 @@ def query_vector_index(
         for name in meta["files"].get(str(c), [])
     ]
     if not paths:  # every probed list empty — no candidates
-        return ray.data.from_arrow(vx.TOPK_SCHEMA.empty_table())
+        return ray.data.from_arrow(tk.TOPK_SCHEMA.empty_table())
     ds = ray.data.read_parquet(paths, columns=["vec_id", "embedding", "list_id"])
     ref = ray.put((q_ids, q_mat, probe_masks, _load_tombstones(index_dir, meta)))
 
-    def partial_topk(batch: pa.Table) -> pa.Table:
+    @tk.partial_topk(k)
+    def partial(batch: pa.Table):
         qi, qm, pm, tombs = ray.get(ref)
         batch = _drop_tombstoned(batch, tombs)
         if batch.num_rows == 0:
-            return _PARTIAL_SCHEMA.empty_table()
+            return None
         b_ids = batch["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         lids = batch["list_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        b_mat = _normalize(_embedding_matrix(batch))
-        sims = qm @ b_mat.T
-        out_q, out_n, out_s = [], [], []
-        for r in range(qi.size):
-            mask = pm[r][lids] & (b_ids != qi[r])
-            idx = np.flatnonzero(mask)
-            if idx.size == 0:
-                continue
-            s = sims[r]
-            order = idx[np.lexsort((b_ids[idx], -s[idx]))][:k]
-            out_q.extend([qi[r]] * order.size)
-            out_n.extend(b_ids[order])
-            out_s.extend(s[order])
-        if not out_q:
-            return _PARTIAL_SCHEMA.empty_table()
-        return pa.table(
-            {
-                "query_id": pa.array(out_q, pa.int64()),
-                "neighbor_id": pa.array(out_n, pa.int64()),
-                "score": pa.array(out_s, pa.float64()),
-            },
-            schema=_PARTIAL_SCHEMA,
-        )
+        sims = qm @ _normalize(_embedding_matrix(batch)).T
+        r, c = np.nonzero(pm[:, lids] & (b_ids != qi[:, None]))
+        return qi[r], b_ids[c], sims[r, c]
 
-    partials = ds.map_batches(
-        partial_topk, batch_format="pyarrow", zero_copy_batch=True
-    )
-    return partials.groupby("query_id").map_groups(
-        lambda g: _final_topk(g, k), batch_format="pyarrow"
-    )
+    partials = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
+    return tk.merge_topk(partials, k)
 
 
 def _vindex_stats_sql() -> str:
@@ -1108,57 +1060,35 @@ def query_lsh_index(
         for name in meta["files"].get(f"{t}/{b}", [])
     ]
     if not paths:
-        return ray.data.from_arrow(vx.TOPK_SCHEMA.empty_table())
+        return ray.data.from_arrow(tk.TOPK_SCHEMA.empty_table())
     ds = ray.data.read_parquet(
         paths, columns=["vec_id", "embedding", "t_id", "bkt"]
     )
     ref = ray.put((q_ids, q_mat, probe))
 
-    def score_batch(batch: pa.Table) -> pa.Table:
+    # a pair probed in two tables of one batch must count once per batch
+    @tk.partial_topk(k, dedupe=True)
+    def score_batch(batch: pa.Table):
         qi, qm, pr = ray.get(ref)
-        if batch.num_rows == 0:
-            return _PARTIAL_SCHEMA.empty_table()
         b_ids = batch["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         tids = batch["t_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         bkts = batch["bkt"].to_numpy(zero_copy_only=False).astype(np.int64)
         b_mat = _normalize(_embedding_matrix(batch))
         rows = {int(q): i for i, q in enumerate(qi)}
-        out_q, out_n, out_s = [], [], []
         # a read batch can span several (table, bucket) partitions: score
         # each distinct pair's slice against its probing queries
-        pairs = np.unique(np.stack([tids, bkts], axis=1), axis=0)
-        for t, b in pairs:
+        parts = []
+        for t, b in np.unique(np.stack([tids, bkts], axis=1), axis=0):
             want = pr.get((int(t), int(b)))
-            if not want:
-                continue
-            sel = np.flatnonzero((tids == t) & (bkts == b))
-            ids_s, mat_s = b_ids[sel], b_mat[sel]
-            for q in want:
-                s = qm[rows[q]] @ mat_s.T
-                idx = np.flatnonzero(ids_s != q)
-                if idx.size == 0:
-                    continue
-                order = idx[np.lexsort((ids_s[idx], -s[idx]))][:k]
-                out_q.extend([q] * order.size)
-                out_n.extend(ids_s[order])
-                out_s.extend(s[order])
-        if not out_q:
-            return _PARTIAL_SCHEMA.empty_table()
-        return pa.table(
-            {
-                "query_id": pa.array(out_q, pa.int64()),
-                "neighbor_id": pa.array(out_n, pa.int64()),
-                "score": pa.array(out_s, pa.float64()),
-            },
-            schema=_PARTIAL_SCHEMA,
-        )
+            if want:
+                sel = np.flatnonzero((tids == t) & (bkts == b))
+                parts.append(
+                    vx.probe_candidates(want, rows, qm, b_ids[sel], b_mat[sel])
+                )
+        return [np.concatenate(c) for c in zip(*parts)] if parts else None
 
-    partials = ds.map_batches(
-        score_batch, batch_format="pyarrow", zero_copy_batch=True
-    )
-    return partials.groupby("query_id").map_groups(
-        lambda g: vx.final_topk_dedupe(g, k), batch_format="pyarrow"
-    )
+    partials = ds.map_batches(score_batch, batch_format="pyarrow", zero_copy_batch=True)
+    return tk.merge_topk(partials, k, dedupe=True)
 
 
 def _artifact_for(cache: dict, prefix: str, build, sf_dir: str) -> str:
@@ -1293,40 +1223,29 @@ class VectorScorerActor:
         return self._lists[cid]
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        out = vx.TOPK_SCHEMA
         if batch.num_rows == 0:
-            return out.empty_table()
+            return tk.TOPK_SCHEMA.empty_table()
         q_ids = batch["query_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         q_raw = _embedding_matrix(batch)
         q_mat = _normalize(q_raw)
         dots = _quantize(q_raw) @ self.cent_q.T
         probes = np.argsort(-dots, axis=1, kind="stable")[:, : self.n_probe]
-        out_q, out_r, out_n = [], [], []
+        # flat (query row, neighbor, score) candidates over each query's
+        # probed lists; the query ROW is the key, so a repeated query_id
+        # in one batch is answered once per row
+        cand = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
         for i in range(q_ids.size):
-            ids_parts, score_parts = [], []
             for cid in probes[i]:
-                ids, mat = self._list(int(cid))
-                if ids.size == 0:
-                    continue
-                ids_parts.append(ids)
-                score_parts.append(q_mat[i] @ mat.T)
-            if not ids_parts:
-                continue
-            ids = np.concatenate(ids_parts)
-            s = np.concatenate(score_parts)
-            keep = ids != q_ids[i]  # fixture semantics: never self-match
-            ids, s = ids[keep], s[keep]
-            order = np.lexsort((ids, -s))[: self.k]
-            out_q.extend([q_ids[i]] * order.size)
-            out_r.extend(range(1, order.size + 1))
-            out_n.extend(ids[order])
+                l_ids, mat = self._list(int(cid))
+                keep = l_ids != q_ids[i]  # fixture semantics: never self-match
+                cand.append(
+                    (np.full(int(keep.sum()), i), l_ids[keep], (q_mat[i] @ mat.T)[keep])
+                )
+        rows, ids, scores = (np.concatenate(c) for c in zip(*cand))
+        top, ranks = tk.topk_rows(rows, ids, scores, self.k)
         return pa.table(
-            {
-                "query_id": pa.array(out_q, pa.int64()),
-                "rank": pa.array(out_r, pa.int64()),
-                "neighbor_id": pa.array(out_n, pa.int64()),
-            },
-            schema=out,
+            [pa.array(c) for c in (q_ids[rows[top]], ranks, ids[top])],
+            schema=tk.TOPK_SCHEMA,
         )
 
 
@@ -1388,6 +1307,15 @@ _VMAINT_CACHE: dict[str, str] = {}
 _MAINT_MOD, _MAINT_RES = 5, 2  # retire every vec_id ≡ 2 (mod 5)
 
 
+def _doomed_ids(t: pa.Table) -> pa.Table:
+    """map_batches fn: the batch's retired ids (vec_id ≡ _MAINT_RES mod
+    _MAINT_MOD) — the delete stream of both maintained artifacts."""
+    ids = t["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+    return pa.table(
+        {"vec_id": pa.array(ids[ids % _MAINT_MOD == _MAINT_RES], pa.int64())}
+    )
+
+
 def _maintained_index_for(sf_dir: str) -> str:
     """Build the IVF artifact, then run the FULL maintenance cycle on it:
     stream the retired ids (vec_id ≡ _MAINT_RES mod _MAINT_MOD) through
@@ -1399,16 +1327,9 @@ def _maintained_index_for(sf_dir: str) -> str:
         emb = _emb_dataset(sf)
         build_vector_index(emb, out)
 
-        def doomed(t: pa.Table) -> pa.Table:
-            ids = t["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-            return pa.table(
-                {"vec_id": pa.array(ids[ids % _MAINT_MOD == _MAINT_RES],
-                                    pa.int64())}
-            )
-
         delete_vectors(
             out,
-            emb.map_batches(doomed, batch_format="pyarrow",
+            emb.map_batches(_doomed_ids, batch_format="pyarrow",
                             zero_copy_batch=True),
         )
         compact_vector_index(out)
@@ -1533,39 +1454,19 @@ def knn_graph_ivf(sf_dir: str):
         )
         return pa.concat_tables([member, prober])
 
-    def pair_scores(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return _PARTIAL_SCHEMA.empty_table()
+    @tk.partial_topk(KNN_GRAPH_K)
+    def pair_scores(group: pa.Table):
         role = group["role"].to_numpy(zero_copy_only=False)
         ids = group["vec_id"].to_numpy(zero_copy_only=False)
         mem = np.flatnonzero(role == 0)
         prb = np.flatnonzero(role == 1)
         if mem.size == 0 or prb.size == 0:
-            return _PARTIAL_SCHEMA.empty_table()
+            return None
         mat = _normalize(_embedding_matrix(group))
         sims = mat[prb] @ mat[mem].T  # (probers, members) — one matmul
-        m_ids = ids[mem]
-        out_q, out_n, out_s = [], [], []
-        for r in range(prb.size):
-            q = int(ids[prb[r]])
-            s = sims[r]
-            idx_ = np.flatnonzero(m_ids != q)
-            if idx_.size == 0:
-                continue
-            order = idx_[np.lexsort((m_ids[idx_], -s[idx_]))][:KNN_GRAPH_K]
-            out_q.extend([q] * order.size)
-            out_n.extend(m_ids[order])
-            out_s.extend(s[order])
-        if not out_q:
-            return _PARTIAL_SCHEMA.empty_table()
-        return pa.table(
-            {
-                "query_id": pa.array(out_q, pa.int64()),
-                "neighbor_id": pa.array(out_n, pa.int64()),
-                "score": pa.array(out_s, pa.float64()),
-            },
-            schema=_PARTIAL_SCHEMA,
-        )
+        q_ids, m_ids = ids[prb], ids[mem]
+        r, c = np.nonzero(m_ids != q_ids[:, None])
+        return q_ids[r], m_ids[c], sims[r, c]
 
     partials = (
         ds.map_batches(explode_roles, batch_format="pyarrow", zero_copy_batch=True)
@@ -1574,9 +1475,7 @@ def knn_graph_ivf(sf_dir: str):
     )
     # a neighbor lives in exactly one list, so (query, neighbor) candidates
     # are globally unique — plain merge, no dedupe needed
-    return partials.groupby("query_id").map_groups(
-        lambda g: _final_topk(g, KNN_GRAPH_K), batch_format="pyarrow"
-    )
+    return tk.merge_topk(partials, KNN_GRAPH_K)
 
 
 # ===========================================================================
@@ -1824,9 +1723,8 @@ def ann_pq_topk(sf_dir: str):
         lut[:, m, :] = qsub @ cb[m].T
     ref = ray.put((q_ids, cb, lut))
 
-    def partial_topk(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _PQ_PARTIAL_SCHEMA.empty_table()
+    @tk.partial_topk(_ANN_K, _PQ_PARTIAL_SCHEMA)
+    def partial(batch: pa.Table):
         qi, cbk, lt = ray.get(ref)
         b_ids = batch["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         codes = vx.pq_encode(vx.quantize(_embedding_matrix(batch)), cbk)
@@ -1834,32 +1732,11 @@ def ann_pq_topk(sf_dir: str):
         scores = np.zeros((qi.size, b_ids.size), np.int64)
         for m in range(vx.PQ_M):
             scores += lt[:, m, codes[:, m]]
-        out_q, out_n, out_s = [], [], []
-        for r in range(qi.size):
-            s = scores[r]
-            idx = np.flatnonzero(b_ids != qi[r])
-            if idx.size == 0:
-                continue
-            order = idx[np.lexsort((b_ids[idx], -s[idx]))][:_ANN_K]
-            out_q.extend([qi[r]] * order.size)
-            out_n.extend(b_ids[order])
-            out_s.extend(s[order])
-        return pa.table(
-            {
-                "query_id": pa.array(out_q, pa.int64()),
-                "neighbor_id": pa.array(out_n, pa.int64()),
-                "score_q": pa.array(out_s, pa.int64()),
-            },
-            schema=_PQ_PARTIAL_SCHEMA,
-        )
+        r, c = np.nonzero(b_ids != qi[:, None])
+        return qi[r], b_ids[c], scores[r, c]
 
-    def merge(group: pa.Table) -> pa.Table:
-        return vx.final_topk_scored(group, _ANN_K, _PQ_OUT_SCHEMA)
-
-    partials = emb.map_batches(
-        partial_topk, batch_format="pyarrow", zero_copy_batch=True
-    )
-    return partials.groupby("query_id").map_groups(merge, batch_format="pyarrow")
+    partials = emb.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
+    return tk.merge_topk(partials, _ANN_K, _PQ_OUT_SCHEMA, score="score_q")
 
 
 # ===========================================================================
@@ -2048,11 +1925,12 @@ def query_pq_index(
     ds = ray.data.read_parquet(paths, columns=["vec_id", *_PQ_CODE_COLS, "list_id"])
     ref = ray.put((q_ids, lut, probe_masks, _load_tombstones(index_dir, meta)))
 
-    def partial_topk(batch: pa.Table) -> pa.Table:
+    @tk.partial_topk(k, _PQ_PARTIAL_SCHEMA)
+    def partial(batch: pa.Table):
         qi, lt, pm, tombs = ray.get(ref)
         batch = _drop_tombstoned(batch, tombs)
         if batch.num_rows == 0:
-            return _PQ_PARTIAL_SCHEMA.empty_table()
+            return None
         b_ids = batch["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         lids = batch["list_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         codes = np.stack(
@@ -2061,35 +1939,11 @@ def query_pq_index(
         scores = np.zeros((qi.size, b_ids.size), np.int64)
         for m in range(lt.shape[1]):
             scores += lt[:, m, codes[:, m]]
-        out_q, out_n, out_s = [], [], []
-        for r in range(qi.size):
-            mask = pm[r][lids] & (b_ids != qi[r])
-            idx = np.flatnonzero(mask)
-            if idx.size == 0:
-                continue
-            s = scores[r]
-            order = idx[np.lexsort((b_ids[idx], -s[idx]))][:k]
-            out_q.extend([qi[r]] * order.size)
-            out_n.extend(b_ids[order])
-            out_s.extend(s[order])
-        if not out_q:
-            return _PQ_PARTIAL_SCHEMA.empty_table()
-        return pa.table(
-            {
-                "query_id": pa.array(out_q, pa.int64()),
-                "neighbor_id": pa.array(out_n, pa.int64()),
-                "score_q": pa.array(out_s, pa.int64()),
-            },
-            schema=_PQ_PARTIAL_SCHEMA,
-        )
+        r, c = np.nonzero(pm[:, lids] & (b_ids != qi[:, None]))
+        return qi[r], b_ids[c], scores[r, c]
 
-    def merge(group: pa.Table) -> pa.Table:
-        return vx.final_topk_scored(group, k, _PQ_OUT_SCHEMA)
-
-    partials = ds.map_batches(
-        partial_topk, batch_format="pyarrow", zero_copy_batch=True
-    )
-    return partials.groupby("query_id").map_groups(merge, batch_format="pyarrow")
+    partials = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
+    return tk.merge_topk(partials, k, _PQ_OUT_SCHEMA, score="score_q")
 
 
 _PQINDEX_CACHE: dict[str, str] = {}
@@ -2113,17 +1967,10 @@ def _maintained_pq_for(sf_dir: str) -> str:
     def build(sf, out):
         build_pq_index(sf, out)
 
-        def doomed(t: pa.Table) -> pa.Table:
-            ids = t["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-            return pa.table(
-                {"vec_id": pa.array(ids[ids % _MAINT_MOD == _MAINT_RES],
-                                    pa.int64())}
-            )
-
         delete_vectors(
             out,
             _emb_dataset(sf).map_batches(
-                doomed, batch_format="pyarrow", zero_copy_batch=True
+                _doomed_ids, batch_format="pyarrow", zero_copy_batch=True
             ),
         )
         compact_vector_index(out)

@@ -44,6 +44,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions import dedup as dd
+from ..functions import topk as tk
 from ..functions import vectors as vx
 from ..sources.corpus import read_table
 from .ops import _cents, op
@@ -591,39 +592,20 @@ def knn_label_vote(sf_dir: str):
     )
     ref = ray.put((q_ids, q_mat))
 
-    _PARTIAL = pa.schema(
-        [("query_id", pa.int64()), ("neighbor_id", pa.int64()),
-         ("label", pa.int64()), ("score", pa.float64())]
-    )
+    # the neighbor's label rides along as a carried column
+    _PARTIAL = tk.PARTIAL_SCHEMA.append(pa.field("label", pa.int64()))
+    _TOP = tk.TOPK_SCHEMA.append(pa.field("label", pa.int64()))
 
-    def partial_topk(batch: pa.Table) -> pa.Table:
+    @tk.partial_topk(dd.ANN_K, _PARTIAL)
+    def partial(batch: pa.Table):
         qi, qm = ray.get(ref)
         b_ids = batch["vec_id"].to_numpy(zero_copy_only=False)
         b_lab = (
             pc.cast(batch["label"], pa.int64()).to_numpy(zero_copy_only=False)
         )
-        b_mat = vx.normalize(vx.embedding_matrix(batch))
-        sims = qm @ b_mat.T
-        out_q, out_n, out_l, out_s = [], [], [], []
-        for r in range(qi.size):
-            s = sims[r]
-            idx = np.flatnonzero(b_ids != qi[r])
-            if idx.size == 0:
-                continue
-            order = idx[np.lexsort((b_ids[idx], -s[idx]))][: dd.ANN_K]
-            out_q.extend([qi[r]] * order.size)
-            out_n.extend(b_ids[order])
-            out_l.extend(b_lab[order])
-            out_s.extend(s[order])
-        return pa.table(
-            {
-                "query_id": pa.array(out_q, pa.int64()),
-                "neighbor_id": pa.array(out_n, pa.int64()),
-                "label": pa.array(out_l, pa.int64()),
-                "score": pa.array(out_s, pa.float64()),
-            },
-            schema=_PARTIAL,
-        )
+        sims = qm @ vx.normalize(vx.embedding_matrix(batch)).T
+        r, c = np.nonzero(b_ids != qi[:, None])
+        return qi[r], b_ids[c], sims[r, c], b_lab[c]
 
     _OUT = pa.schema(
         [("query_id", pa.int64()), ("pred_label", pa.int64()),
@@ -633,11 +615,8 @@ def knn_label_vote(sf_dir: str):
     def vote(group: pa.Table) -> pa.Table:
         if group.num_rows == 0:
             return _OUT.empty_table()
-        s = group["score"].to_numpy(zero_copy_only=False)
-        n = group["neighbor_id"].to_numpy(zero_copy_only=False)
-        lab = group["label"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((n, -s))[: dd.ANN_K]  # exact top-k merge
-        labs, counts = np.unique(lab[order], return_counts=True)
+        top = tk.final_topk(group, dd.ANN_K, _TOP)  # exact top-k merge
+        labs, counts = np.unique(top["label"].to_numpy(), return_counts=True)
         # majority; ties -> smallest label (np.unique sorts labels asc,
         # argmax takes the first max — exactly votes DESC, label ASC)
         win = int(np.argmax(counts))
@@ -650,9 +629,7 @@ def knn_label_vote(sf_dir: str):
             schema=_OUT,
         )
 
-    partials = emb.map_batches(
-        partial_topk, batch_format="pyarrow", zero_copy_batch=True
-    )
+    partials = emb.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
     return partials.groupby("query_id").map_groups(vote, batch_format="pyarrow")
 
 

@@ -31,6 +31,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..functions import topk as tk
 from ..functions.vectors import fdiv_sql as _fdiv_sql_q
 from ..sources.corpus import read_table
 from .ops import _cents, _rename, op
@@ -417,57 +418,32 @@ def top_parts_per_brand(sf_dir: str):
     )
 
 
-def topk_partial(batch: pa.Table) -> pa.Table:
+_TOPK_PARTIAL_SCHEMA = pa.schema(
+    [("p_brand", pa.string()), ("p_partkey", pa.int64()), ("price_cents", pa.int64())]
+)
+_TOPK_OUT_SCHEMA = pa.schema(
+    [("p_brand", pa.string()), ("rank", pa.int64()),
+     ("p_partkey", pa.int64()), ("price_cents", pa.int64())]
+)
+
+
+@tk.partial_topk(_TOPK_PER_GROUP, _TOPK_PARTIAL_SCHEMA)
+def topk_partial(batch: pa.Table):
     """Per-batch partial top-k per brand (module-level so the partial+final
     invariant is property-testable against brute force without a Ray
-    pipeline around it): one lexsort (brand, cents desc, key asc) + a
-    per-group position filter — no Python row loop."""
-    out_schema = pa.schema(
-        [("p_brand", pa.string()), ("p_partkey", pa.int64()),
-         ("price_cents", pa.int64())]
-    )
-    if batch.num_rows == 0:
-        return out_schema.empty_table()
-    cents = _cents(batch["p_retailprice"]).to_numpy(zero_copy_only=False)
-    pk = batch["p_partkey"].to_numpy(zero_copy_only=False)
-    _, codes = np.unique(
-        batch["p_brand"].to_numpy(zero_copy_only=False), return_inverse=True
-    )
-    order = np.lexsort((pk, -cents, codes))  # brand, then cents desc, key asc
-    sorted_codes = codes[order]
-    starts = np.flatnonzero(np.r_[True, sorted_codes[1:] != sorted_codes[:-1]])
-    counts = np.diff(np.r_[starts, sorted_codes.size])
-    pos = np.arange(sorted_codes.size) - np.repeat(starts, counts)
-    keep = order[pos < _TOPK_PER_GROUP]
-    return pa.table(
-        {
-            "p_brand": batch["p_brand"].take(pa.array(keep)),
-            "p_partkey": pa.array(pk[keep], pa.int64()),
-            "price_cents": pa.array(cents[keep], pa.int64()),
-        },
-        schema=out_schema,
+    pipeline around it): the shared grouped kernel over
+    (brand, cents desc, key asc) — no Python row loop."""
+    return (
+        batch["p_brand"].to_numpy(zero_copy_only=False),
+        batch["p_partkey"].to_numpy(zero_copy_only=False),
+        _cents(batch["p_retailprice"]).to_numpy(zero_copy_only=False),
     )
 
 
 def topk_final(group: pa.Table) -> pa.Table:
     """One brand's merge of partials → ranked top-k (cents desc, key asc)."""
-    out_schema = pa.schema(
-        [("p_brand", pa.string()), ("rank", pa.int64()),
-         ("p_partkey", pa.int64()), ("price_cents", pa.int64())]
-    )
-    if group.num_rows == 0:
-        return out_schema.empty_table()
-    cents = group["price_cents"].to_numpy(zero_copy_only=False)
-    pk = group["p_partkey"].to_numpy(zero_copy_only=False)
-    order = np.lexsort((pk, -cents))[:_TOPK_PER_GROUP]
-    return pa.table(
-        {
-            "p_brand": group["p_brand"].take(pa.array(order)),
-            "rank": pa.array(np.arange(1, order.size + 1), pa.int64()),
-            "p_partkey": pa.array(pk[order], pa.int64()),
-            "price_cents": pa.array(cents[order], pa.int64()),
-        },
-        schema=out_schema,
+    return tk.final_topk(
+        group, _TOPK_PER_GROUP, _TOPK_OUT_SCHEMA, score="price_cents"
     )
 
 

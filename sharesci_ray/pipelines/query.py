@@ -38,6 +38,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data
 
+from ..functions import topk as tk
 from ..functions.bm25 import top_k_with_ties
 from ..functions.codecs import decode_docids, decode_values
 from ..functions.hashing import polyhash_column
@@ -740,22 +741,22 @@ class PhraseCounter:
                 }
             )
         # ranked mode: top-k matching docs per phrase by occurrence count,
-        # ties broken toward the lower doc_id (deterministic, like BM25 k1)
-        p_out, r_out, d_out, o_out = [], [], [], []
-        for phrase in batch["phrase"].to_pylist():
-            docs, occ = self.scorer.phrase_occurrences(phrase or "")
-            order = np.lexsort((docs, -occ))[: self.topk]
-            for rank, j in enumerate(order, start=1):
-                p_out.append(phrase)
-                r_out.append(rank)
-                d_out.append(int(docs[j]))
-                o_out.append(int(occ[j]))
+        # ties broken toward the lower doc_id (deterministic, like BM25 k1);
+        # the phrase's row in the batch is the group key
+        phrases = batch["phrase"].cast(pa.string())
+        found = [
+            self.scorer.phrase_occurrences(p or "") for p in phrases.to_pylist()
+        ]
+        keys = np.repeat(np.arange(len(found)), [d.size for d, _ in found])
+        docs = np.concatenate([np.empty(0, np.int64)] + [d for d, _ in found])
+        occ = np.concatenate([np.empty(0, np.int64)] + [o for _, o in found])
+        rows, ranks = tk.topk_rows(keys, docs, occ, self.topk)
         return pa.table(
             {
-                "phrase": pa.array(p_out, pa.string()),
-                "rank": pa.array(r_out, pa.int64()),
-                "doc_id": pa.array(d_out, pa.int64()),
-                "n_occurrences": pa.array(o_out, pa.int64()),
+                "phrase": phrases.take(pa.array(keys[rows])),
+                "rank": pa.array(ranks, pa.int64()),
+                "doc_id": pa.array(docs[rows], pa.int64()),
+                "n_occurrences": pa.array(occ[rows], pa.int64()),
             }
         )
 
@@ -815,6 +816,12 @@ def run_queries(
         concurrency=concurrency,
         num_cpus=num_cpus_per_actor,
     )
+
+
+_SHARDED_SCHEMA = pa.schema(
+    [("query_id", pa.int64()), ("rank", pa.int32()),
+     ("doc_id", pa.int64()), ("score", pa.float64())]
+)
 
 
 def run_queries_sharded(
@@ -877,19 +884,4 @@ def run_queries_sharded(
     for r in shard_results[1:]:
         merged = merged.union(r)
 
-    def final_topk(group: pa.Table) -> pa.Table:
-        s = group["score"].to_numpy(zero_copy_only=False)
-        d = group["doc_id"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((d, -s))[:k]
-        return pa.table(
-            {
-                "query_id": group["query_id"].take(pa.array(order)),
-                "rank": pa.array(
-                    np.arange(1, order.size + 1, dtype=np.int32), pa.int32()
-                ),
-                "doc_id": pa.array(d[order], pa.int64()),
-                "score": pa.array(s[order], pa.float64()),
-            }
-        )
-
-    return merged.groupby("query_id").map_groups(final_topk, batch_format="pyarrow")
+    return tk.merge_topk(merged, k, _SHARDED_SCHEMA)

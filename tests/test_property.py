@@ -1,8 +1,9 @@
 """Hypothesis property tests for the pure kernels (SURVEY.md §5.2):
 codec roundtrips over arbitrary value distributions (every decode fast path
 and the general path), tokenizer scalar/vectorized agreement on arbitrary
-unicode, minhash permutation bounds, and block-max interval scoring against
-brute-force per-doc sums."""
+unicode, minhash permutation bounds, block-max interval scoring against
+brute-force per-doc sums, and the grouped top-k kernel against per-key
+brute-force sorts (including merge-of-partials ≡ top-k of the union)."""
 
 from __future__ import annotations
 
@@ -398,3 +399,107 @@ def test_score_block_max_prunes_skewed_query():
     assert d.tolist() == [1000, 1002, 1004]
     assert s.tolist() == [0.1 + 5.0] * 3
     assert n < len(common) + len(rare)
+
+
+# ---- grouped top-k kernel (functions/topk.py) -----------------------------
+
+_CANDS = st.lists(
+    # (key, id, score): small domains force exact score ties at the k-th
+    # place and repeated ids across keys
+    st.tuples(st.integers(0, 4), st.integers(0, 30), st.integers(-3, 3)),
+    max_size=60,
+)
+
+
+def _cand_arrays(cands, float_scores):
+    keys = np.array([c[0] for c in cands], dtype=np.int64)
+    ids = np.array([c[1] for c in cands], dtype=np.int64)
+    scores = np.array([c[2] for c in cands], dtype=np.int64)
+    return keys, ids, (scores / 4.0 if float_scores else scores)
+
+
+def _brute_topk(keys, ids, scores, k):
+    """Per key: sorted(..., key=(-score, id))[:k] — stable on full ties."""
+    out = []
+    for key in sorted(set(keys.tolist())):
+        rows = [i for i in range(keys.size) if keys[i] == key]
+        rows = sorted(rows, key=lambda i: (-scores[i], ids[i]))[:k]
+        out += [(i, r) for r, i in enumerate(rows, start=1)]
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CANDS, st.integers(1, 70), st.booleans(), st.sets(st.integers(0, 4)))
+def test_topk_rows_matches_bruteforce(cands, k, float_scores, masked_keys):
+    """topk_rows ≡ per-key brute force, rows and ranks — int64 and float
+    scores, k = 1 and k > n, 0 rows, and keys whose candidates are all
+    masked out before the cut."""
+    from sharesci_ray.functions.topk import topk_rows
+
+    cands = [c for c in cands if c[0] not in masked_keys]
+    keys, ids, scores = _cand_arrays(cands, float_scores)
+    rows, ranks = topk_rows(keys, ids, scores, k)
+    assert list(zip(rows.tolist(), ranks.tolist())) == _brute_topk(
+        keys, ids, scores, k
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _CANDS,
+    st.integers(1, 12),
+    st.booleans(),
+    st.lists(st.integers(0, 60), max_size=6),
+    st.booleans(),
+)
+def test_final_topk_of_partials_equals_union_topk(
+    cands, k, float_scores, cuts, dupes
+):
+    """The distributed invariant: for ANY split of the candidates into
+    batches, final_topk over the per-batch partial_topk rows equals the
+    top-k of the whole union (and ``dedupe`` equals the top-k of the
+    distinct (key, id) pairs when pairs arrive in several batches)."""
+    import pyarrow.compute as pc
+
+    from sharesci_ray.functions import topk as tk
+
+    # one score per (key, id): a repeated pair carries the same score
+    uniq = {(c[0], c[1]): c for c in cands}
+    cands = list(uniq.values())
+    if dupes:  # every pair arrives twice, in different batches
+        cands = cands + cands[::-1]
+    keys, ids, scores = _cand_arrays(cands, float_scores)
+    stype = pa.float64() if float_scores else pa.int64()
+    part_schema = pa.schema(
+        [("query_id", pa.int64()), ("neighbor_id", pa.int64()), ("score", stype)]
+    )
+    out_schema = pa.schema(
+        [("query_id", pa.int64()), ("rank", pa.int64()),
+         ("neighbor_id", pa.int64()), ("score", stype)]
+    )
+    bounds = [0, *sorted(c for c in cuts if c < keys.size), keys.size]
+    partials = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+
+        @tk.partial_topk(k, part_schema, dedupe=dupes)
+        def score(_batch, lo=lo, hi=hi):
+            return keys[lo:hi], ids[lo:hi], scores[lo:hi]
+
+        partials.append(score(pa.table({"row": np.arange(hi - lo)})))
+    merged = pa.concat_tables(partials)
+    got = tk.final_topk(merged, k, out_schema, dedupe=dupes)
+
+    n = len(uniq) if dupes else keys.size  # the distinct pairs come first
+    want = _brute_topk(keys[:n], ids[:n], scores[:n], k)
+    assert got.schema == out_schema
+    assert list(
+        zip(got["query_id"].to_pylist(), got["rank"].to_pylist(),
+            got["neighbor_id"].to_pylist(), got["score"].to_pylist())
+    ) == [(keys[i], r, ids[i], scores[i]) for i, r in want]
+    # the per-key merge Ray's map_groups runs gives the same rows
+    for key in set(keys.tolist()):
+        g = tk.final_topk(
+            merged.filter(pc.equal(merged["query_id"], key)), k, out_schema,
+            dedupe=dupes,
+        )
+        assert g.equals(got.filter(pc.equal(got["query_id"], key)))

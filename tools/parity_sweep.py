@@ -7,8 +7,14 @@ order-insensitive multiset of row values, floats exact) over ALL registry
 ops and writes a CORRECTNESS-shaped JSON so every op has driver-grade
 evidence every round, not just the sampled 50.
 
+Progress goes to ``<out>.partial`` after every op; ``<out>`` itself is
+written only once every requested op has a result, so a killed run can
+never leave a partial artifact under the final name.  ``--resume`` takes
+either file (a missing ``<out>`` falls back to its ``.partial``).
+
 Usage:
-    python tools/parity_sweep.py --out CORRECTNESS_full_r05.json
+    python tools/parity_sweep.py --out CORRECTNESS_full_r06.json
+    python tools/parity_sweep.py --out X.json --resume X.json
     python tools/parity_sweep.py --sf-dir /root/testdata/sf0.1 --only bm25_topk
 
 Owns its Ray session (CLI entry point); __ray_entry__ itself never inits.
@@ -63,6 +69,13 @@ def _canon(df) -> list[tuple]:
                 canon.append(("v", v))
         rows.append(tuple(canon))
     return sorted(rows, key=repr)
+
+
+def _dump(obj: dict, path: str) -> None:
+    """Write JSON atomically (temp file + rename)."""
+    with open(path + ".tmp", "w") as f:
+        json.dump(obj, f, indent=2)
+    os.replace(path + ".tmp", path)
 
 
 def run_sweep(
@@ -126,16 +139,19 @@ def run_sweep(
         status = "ok" if rec["hash_match"] else ("ERR" if rec["err"] else "MISMATCH")
         print(f"[{i + 1}/{len(names)}] {name}: {status}", file=sys.stderr, flush=True)
         if out_path:
-            # incremental write: a killed/hung run keeps its progress and
-            # can be --resume'd
-            with open(out_path, "w") as f:
-                json.dump(out, f, indent=2)
+            # incremental progress: a killed/hung run keeps it in the
+            # .partial file, which --resume accepts
+            _dump(out, out_path + ".partial")
     ok = sum(1 for r in out.values() if r["hash_match"] and not r["err"])
     print(
         f"sweep: {ok}/{len(names)} green in {time.time() - t0:.0f}s "
         f"(sf_dir={sf_dir})",
         file=sys.stderr,
     )
+    if out_path and len(out) == len(names):  # every requested op has a result
+        _dump(out, out_path)
+        os.remove(out_path + ".partial")
+        print(f"wrote {out_path}", file=sys.stderr)
     return out
 
 
@@ -150,7 +166,8 @@ def main() -> int:
     )
     ap.add_argument(
         "--resume", default=None,
-        help="previous output JSON; green ops in it are carried over, not re-run",
+        help="previous output JSON or its .partial; green ops in it are "
+        "carried over, not re-run",
     )
     ap.add_argument("--num-cpus", type=int, default=int(os.environ.get("RAY_GRAFT_CPUS", 16)))
     args = ap.parse_args()
@@ -166,15 +183,14 @@ def main() -> int:
 
     ray.data.DataContext.get_current().enable_progress_bars = False
     prev = None
-    if args.resume and os.path.exists(args.resume):
-        with open(args.resume) as f:
-            prev = json.load(f)
+    if args.resume:
+        for path in (args.resume, args.resume + ".partial"):
+            if os.path.exists(path):
+                with open(path) as f:
+                    prev = json.load(f)
+                break
     res = run_sweep(args.sf_dir, args.only, args.rows_only, prev, args.out)
-    if args.out:
-        with open(args.out, "w") as f:
-            json.dump(res, f, indent=2)
-        print(f"wrote {args.out}", file=sys.stderr)
-    else:
+    if not args.out:
         json.dump(res, sys.stdout, indent=2)
     ray.shutdown()
     bad = [n for n, r in res.items() if not (r["hash_match"] and not r["err"])
