@@ -1309,10 +1309,18 @@ _MAINT_MOD, _MAINT_RES = 5, 2  # retire every vec_id ≡ 2 (mod 5)
 
 def _doomed_ids(t: pa.Table) -> pa.Table:
     """map_batches fn: the batch's retired ids (vec_id ≡ _MAINT_RES mod
-    _MAINT_MOD) — the delete stream of both maintained artifacts."""
+    _MAINT_MOD)."""
     ids = t["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
     return pa.table(
         {"vec_id": pa.array(ids[ids % _MAINT_MOD == _MAINT_RES], pa.int64())}
+    )
+
+
+def _doomed_stream(sf_dir: str):
+    """The delete stream of both maintained artifacts: the retired ids,
+    read from the ``vec_id`` column alone (no embedding re-read)."""
+    return read_table(sf_dir, "embeddings", columns=["vec_id"]).map_batches(
+        _doomed_ids, batch_format="pyarrow", zero_copy_batch=True
     )
 
 
@@ -1324,14 +1332,9 @@ def _maintained_index_for(sf_dir: str) -> str:
     ann_ivf_persisted artifact is never mutated."""
 
     def build(sf, out):
-        emb = _emb_dataset(sf)
-        build_vector_index(emb, out)
+        build_vector_index(_emb_dataset(sf), out)
 
-        delete_vectors(
-            out,
-            emb.map_batches(_doomed_ids, batch_format="pyarrow",
-                            zero_copy_batch=True),
-        )
+        delete_vectors(out, _doomed_stream(sf))
         compact_vector_index(out)
 
     return _artifact_for(_VMAINT_CACHE, "vmaint", build, sf_dir)
@@ -1967,12 +1970,7 @@ def _maintained_pq_for(sf_dir: str) -> str:
     def build(sf, out):
         build_pq_index(sf, out)
 
-        delete_vectors(
-            out,
-            _emb_dataset(sf).map_batches(
-                _doomed_ids, batch_format="pyarrow", zero_copy_batch=True
-            ),
-        )
+        delete_vectors(out, _doomed_stream(sf))
         compact_vector_index(out)
 
     return _artifact_for(_PQMAINT_CACHE, "pqmaint", build, sf_dir)

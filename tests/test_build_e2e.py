@@ -116,18 +116,33 @@ def test_rank_identity_vs_oracle(built, oracle, ray_session):
     assert n_nonempty > N_QUERIES // 2  # fixture sanity: most queries hit
 
 
-@pytest.mark.parametrize("scorer", ["wand", "bmw"])
-def test_wand_bmw_rank_identical_to_daat(built, scorer):
-    """Q3 ≡ exhaustive DAAT — rank AND score identical (SURVEY.md §5.2b)."""
+@pytest.mark.parametrize(
+    "scorer,tight",
+    [
+        pytest.param(s, t, id=s + "-tight" * t)
+        for t in (False, True)
+        for s in ("wand", "bmw", "auto")
+    ],
+)
+def test_wand_bmw_rank_identical_to_daat(built, scorer, tight):
+    """Q3 ≡ exhaustive DAAT — rank AND score identical (SURVEY.md §5.2b),
+    also filtered.  ``tight`` forces the sparse accumulator and a per-term
+    cache small enough to evict on nearly every query."""
     build_dir, _, _ = built
     queries_tbl = make_queries(60, seed=44)
     daat = ScorerActor(build_dir, k=10, scorer="daat")
     other = ScorerActor(build_dir, k=10, scorer=scorer)
+    if tight:
+        other._DENSE_MAX_DOCS = 0
+        other._CACHE_MAX_POSTINGS = 1_000
+    ids = np.arange(daat.id_space, dtype=np.int64)
     for text in queries_tbl["text"].to_pylist():
-        d1, s1 = daat.score_query(text)
-        d2, s2 = other.score_query(text)
-        assert list(d1) == list(d2), text
-        np.testing.assert_array_equal(s1, s2)
+        for allowed in (None, ids[::3]):
+            d1, s1 = daat.score_query(text, allowed=allowed)
+            d2, s2 = other.score_query(text, allowed=allowed)
+            assert list(d1) == list(d2), text
+            np.testing.assert_array_equal(s1, s2)
+    assert other._cached_postings <= other._CACHE_MAX_POSTINGS
 
 
 def _segment_fingerprint(build_dir: str) -> list[tuple]:

@@ -9,7 +9,12 @@ import pytest
 import ray.data
 
 from sharesci_ray.pipelines.build import BuildConfig, build_index
-from sharesci_ray.pipelines.query import ScorerActor, run_queries, run_queries_sharded
+from sharesci_ray.pipelines.query import (
+    ScorerActor,
+    run_queries,
+    run_queries_sharded,
+    shared_segment_refs,
+)
 from sharesci_ray.sources.corpus import corpus_from_table
 from sharesci_ray.sources.synth import make_corpus, make_queries
 
@@ -101,7 +106,7 @@ def test_shared_segments_identical(ray_session, indexes):
     shared = (
         run_queries(
             d_plain, ray.data.from_arrow(q_tbl), k=10, scorer="auto",
-            shared_segments=True,
+            bucket_refs=shared_segment_refs(d_plain),
         )
         .to_pandas()
         .sort_values(["query_id", "rank"])
@@ -160,3 +165,42 @@ def test_merge_of_doc_sharded_indexes(ray_session, tmp_path_factory):
     assert len(got) == len(ref) > 0
     assert (got["doc_id"].values == ref["doc_id"].values).all()
     assert (got["score"].values == ref["score"].values).all()  # bit-equal
+
+
+def test_shard_missing_from_bucket(ray_session, tmp_path_factory):
+    """A bucket with no rows for some shard (many buckets, few docs) loads
+    as empty for that shard: the sharded engine still starts and matches
+    the unsharded one bit for bit."""
+    import pyarrow.parquet as pq
+
+    corpus = make_corpus(20, seed=5, min_tokens=5, max_tokens=20)
+    d_plain = str(tmp_path_factory.mktemp("few_plain"))
+    d_shard = str(tmp_path_factory.mktemp("few_sharded"))
+    build_index(corpus_from_table(corpus), d_plain, BuildConfig(n_buckets=64), resume=False)
+    build_index(
+        corpus_from_table(corpus),
+        d_shard,
+        BuildConfig(n_buckets=64, doc_shards=4),
+        resume=False,
+    )
+    segs = pq.read_table(f"{d_shard}/stage=segments", columns=["term_bucket", "salt_idx"]).to_pandas()
+    shards_per_bucket = segs.groupby("term_bucket", observed=True)["salt_idx"].nunique()
+    assert (shards_per_bucket < 4).any()  # the case under test occurs
+
+    q_tbl = make_queries(25, seed=3)
+    plain = (
+        run_queries(d_plain, ray.data.from_arrow(q_tbl), k=10, scorer="daat")
+        .to_pandas()
+        .sort_values(["query_id", "rank"])
+        .reset_index(drop=True)
+    )
+    sharded = (
+        run_queries_sharded(d_shard, ray.data.from_arrow(q_tbl), k=10)
+        .to_pandas()
+        .sort_values(["query_id", "rank"])
+        .reset_index(drop=True)
+    )
+    assert len(plain) == len(sharded) > 0
+    assert (plain["query_id"].values == sharded["query_id"].values).all()
+    assert (plain["doc_id"].values == sharded["doc_id"].values).all()
+    assert (plain["score"].values == sharded["score"].values).all()  # bit-equal
