@@ -17,6 +17,13 @@ complete stages):
 
 All heavy transforms are stateless ``map_batches`` over zero-copy Arrow; the
 single all-to-all exchange is the bucketed groupby (see stages/encode.py).
+
+Writes: update_index and delete_docs share one preamble
+(_begin_maintenance), one checkpoint probe (_probe_keys) and one
+crash-ordered window (_rewrite_window: debt record → segments manifest
+removed → tombstones → stats → bucket-scoped or full re-encode → debt
+cleared).  compact_index and merge_indexes rebuild from one survivor
+reader (_survivor_termvecs) without re-tokenizing.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data
-from ray.data.aggregate import Count, Mean, Sum
+from ray.data.aggregate import Count, Sum
 
 from ..functions.bm25 import B, K1
 from ..stages.docvec import (
@@ -46,7 +53,7 @@ from ..stages.encode import (
     make_packed_encoder,
     make_salted_merger,
 )
-from ..state.manifest import BuildState
+from ..state.manifest import BuildState, StageManifest
 
 
 @dataclass(frozen=True)
@@ -70,14 +77,12 @@ def _clean_dir(path: str) -> None:
         shutil.rmtree(path)
 
 
-def _parquet_rows(directory: str, exclude_subdir: str | None = None) -> int:
+def _parquet_rows(directory: str) -> int:
     """Row count from parquet footers only (no data pages touched)."""
     import pyarrow.parquet as pq
 
     total = 0
     for root, _dirs, files in os.walk(directory):
-        if exclude_subdir and os.path.basename(root) == exclude_subdir:
-            continue
         for fn in files:
             if fn.endswith(".parquet"):
                 total += pq.ParquetFile(os.path.join(root, fn)).metadata.num_rows
@@ -117,23 +122,25 @@ def _write_tombstones(build_dir: str, ids: np.ndarray) -> None:
 _PENDING_FILE = "pending_reencode.json"
 
 
-def _read_reencode_debt(build_dir: str) -> set[int] | None:
+def _read_reencode_debt(build_dir: str) -> tuple[set[int] | None, np.ndarray]:
     """Unpaid re-encode debt left by a previously crashed maintenance
     window: the term buckets whose on-disk segment partitions may not
     reflect tombstones/stats (``None`` = every bucket, unknown scope;
-    empty set = no debt).  A missing debt file with a missing segments
+    empty set = no debt), and the window's ``window_dead`` ids (see
+    _write_reencode_debt).  A missing debt file with a missing segments
     manifest means a crash predating the debt record (or a crashed
     original build) — full debt."""
     import json
 
     p = os.path.join(build_dir, _PENDING_FILE)
-    if os.path.exists(p):
-        with open(p) as f:
-            b = json.load(f)["buckets"]
-        return None if b is None else {int(x) for x in b}
-    if not os.path.exists(os.path.join(build_dir, "manifests", "segments.json")):
-        return None
-    return set()
+    if not os.path.exists(p):
+        seg = os.path.join(build_dir, "manifests", "segments.json")
+        return (set() if os.path.exists(seg) else None), np.empty(0, dtype=np.int64)
+    with open(p) as f:
+        rec = json.load(f)
+    b = rec["buckets"]
+    window_dead = np.array(rec.get("window_dead", []), dtype=np.int64)
+    return (None if b is None else {int(x) for x in b}), window_dead
 
 
 def _write_reencode_debt(
@@ -170,14 +177,11 @@ def _write_reencode_debt(
     os.replace(tmp, p)
 
 
-def _read_window_dead(build_dir: str) -> np.ndarray:
-    import json
-
-    p = os.path.join(build_dir, _PENDING_FILE)
-    if not os.path.exists(p):
-        return np.empty(0, dtype=np.int64)
-    with open(p) as f:
-        return np.array(json.load(f).get("window_dead", []), dtype=np.int64)
+def _healthy(build_dir: str) -> bool:
+    """Segments manifest committed and no unpaid re-encode debt."""
+    return os.path.exists(
+        os.path.join(build_dir, "manifests", "segments.json")
+    ) and not os.path.exists(os.path.join(build_dir, _PENDING_FILE))
 
 
 def _clear_reencode_debt(build_dir: str) -> None:
@@ -186,7 +190,7 @@ def _clear_reencode_debt(build_dir: str) -> None:
         os.remove(p)
 
 
-def _absorb_orphan_deltas(state: BuildState, build_dir: str) -> None:
+def _absorb_orphan_deltas(state: BuildState) -> None:
     """Undo a crashed update_index window at the next maintenance op:
     resurrect the tombstones that window wrote, then remove its
     uncommitted ``update-k`` delta subdirs (their id range is reused) —
@@ -208,8 +212,8 @@ def _absorb_orphan_deltas(state: BuildState, build_dir: str) -> None:
     already in its own debt record, and if it crashed pre-window the
     segments were never touched — so rmtree alone is safe, and a delta
     parquet torn mid-write can't brick later maintenance ops."""
-    docvec_dir = state.stage_dir("docvec")
-    window_dead = _read_window_dead(build_dir)
+    build_dir, docvec_dir = state.build_dir, state.stage_dir("docvec")
+    debt, window_dead = _read_reencode_debt(build_dir)
     resurrected = False
     if window_dead.size:
         tomb = _read_tombstones(build_dir)
@@ -217,36 +221,37 @@ def _absorb_orphan_deltas(state: BuildState, build_dir: str) -> None:
         if kept.size != tomb.size:
             _write_tombstones(build_dir, kept)
             resurrected = True
-    if os.path.isdir(docvec_dir):
-        for d in sorted(os.listdir(docvec_dir)):
-            full = os.path.join(docvec_dir, d)
-            if not (d.startswith("update-") and os.path.isdir(full)):
-                continue
-            if state.read_manifest(d) is not None:
-                continue
-            shutil.rmtree(full)
+    for d in _orphan_deltas(state):
+        shutil.rmtree(os.path.join(docvec_dir, d))
     if window_dead.size:
-        debt = None if resurrected else _read_reencode_debt(build_dir)
-        _write_reencode_debt(build_dir, debt, None)
+        _write_reencode_debt(build_dir, None if resurrected else debt, None)
 
 
-def _committed_docvec_files(state: BuildState, docvec_dir: str) -> list[str]:
-    """Parquet files of a docvec checkpoint EXCLUDING uncommitted
-    ``update-k`` delta subdirs (ADVICE r3: update_index crashing after the
-    delta parquet write but before the debt/pending record leaves an
-    orphan dir with no manifest and no _PENDING_FILE — a read-only
-    consumer like merge_indexes must not fold those never-committed,
-    possibly torn rows in; "an update that never committed never
-    happened").  The orphan dirs themselves are left on disk: the input
-    index is not ours to mutate, and its own next maintenance op heals
-    them via _absorb_orphan_deltas."""
-    orphans = {
+def _orphan_deltas(state: BuildState) -> set[str]:
+    """Names of ``update-k`` delta subdirs with no committed manifest."""
+    docvec_dir = state.stage_dir("docvec")
+    if not os.path.isdir(docvec_dir):
+        return set()
+    return {
         d
         for d in os.listdir(docvec_dir)
         if d.startswith("update-")
         and os.path.isdir(os.path.join(docvec_dir, d))
         and state.read_manifest(d) is None
     }
+
+
+def _committed_docvec_files(state: BuildState) -> list[str]:
+    """Parquet files of a docvec checkpoint EXCLUDING uncommitted
+    ``update-k`` delta subdirs (ADVICE r3: update_index crashing after the
+    delta parquet write but before the debt/pending record leaves an
+    orphan dir with no manifest and no _PENDING_FILE — merge_indexes
+    and the key probe must not fold those never-committed, possibly torn
+    rows in; "an update that never committed never happened").  The orphan dirs themselves are left on disk: the input
+    index is not ours to mutate, and its own next maintenance op heals
+    them via _absorb_orphan_deltas."""
+    docvec_dir = state.stage_dir("docvec")
+    orphans = _orphan_deltas(state)
     files: list[str] = []
     for root, _dirs, fs in os.walk(docvec_dir):
         rel = os.path.relpath(root, docvec_dir)
@@ -266,6 +271,17 @@ def _drop_dead_fn(dead: np.ndarray):
         )
 
     return drop
+
+
+def _live_stats(ds: ray.data.Dataset, dead: np.ndarray) -> tuple[int, int]:
+    """(n_docs, total_tokens) over the rows of ``ds`` (doc_id, doc_len)
+    whose ids are not in ``dead`` — exact integer count and sum."""
+    if dead.size:
+        ds = ds.map_batches(
+            _drop_dead_fn(dead), batch_format="pyarrow", zero_copy_batch=True
+        )
+    agg = ds.aggregate(Count(), Sum("doc_len"))
+    return int(agg["count()"]), int(agg["sum(doc_len)"] or 0)
 
 
 # avgdl-drift bound for bucket-scoped incremental re-encode: block maxes in
@@ -377,41 +393,48 @@ def _terms_to_buckets(t: pa.Table, n_buckets: int) -> pa.Table:
     return pa.table({"bucket": pa.array(np.unique(b))})
 
 
-def _affected_buckets(
-    docvec_dir: str,
-    n_buckets: int,
-    newly_dead: np.ndarray,
-    delta_dir: str | None,
-) -> set[int]:
-    """Route buckets whose posting lists an update/delete can change: the
-    buckets of every term of the delta docs and of the newly-dead docs.
-    A term whose docs are untouched keeps byte-identical postings, so its
-    bucket never needs rewriting (df/doc ids/tfs all unchanged).  The scan
-    is column-pruned (doc_id+terms) and per-batch reduced to unique bucket
-    ids — only bucket ints shuffle."""
-    sources = []
-    if delta_dir is not None:
-        sources.append(ray.data.read_parquet(delta_dir, columns=["terms"]))
-    if newly_dead.size:
-        dead_ref = ray.put(pa.array(newly_dead, pa.int64()))
+def _path_keys(t: pa.Table) -> pa.Array:
+    """One ``repo\\x00path`` string per row: a document's identity."""
+    return pc.binary_join_element_wise(
+        t["repo"].combine_chunks(), t["path"].combine_chunks(), "\x00"
+    )
 
-        def keep_dead(t: pa.Table) -> pa.Table:
-            return t.filter(pc.is_in(t["doc_id"], value_set=ray.get(dead_ref)))
 
-        sources.append(
-            ray.data.read_parquet(docvec_dir, columns=["doc_id", "terms"]).map_batches(
-                keep_dead, batch_format="pyarrow", zero_copy_batch=True
-            )
-        )
-    buckets: set[int] = set()
-    for src in sources:
-        parts = src.map_batches(
-            lambda t, _n=n_buckets: _terms_to_buckets(t, _n),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        buckets.update(int(b) for b in parts.unique("bucket"))
-    return buckets
+def _probe_keys(
+    state: BuildState, n_buckets: int, keys: pa.Array
+) -> tuple[np.ndarray, set[int]]:
+    """The one checkpoint probe of update_index and delete_docs: the doc
+    ids of committed checkpoint rows whose (repo, path) key is in ``keys``
+    (already-dead rows included), and the route buckets of those rows'
+    terms — the buckets whose posting lists dropping them can change.  A
+    term whose docs are untouched keeps byte-identical postings, so its
+    bucket never needs rewriting.
+
+    One column-pruned pass over the whole checkpoint (a broadcast key set
+    + vectorized is_in, no corpus materialization); only the matched rows
+    reach the driver, so the result is bounded by ``len(keys)``.
+    Uncommitted ``update-k`` dirs — including the in-flight delta of the
+    calling update, which has no manifest yet — are not read."""
+    key_ref = ray.put(pc.unique(keys))
+
+    def match(t: pa.Table) -> pa.Table:
+        hit = pc.is_in(_path_keys(t), value_set=ray.get(key_ref))
+        return t.filter(hit).select(["doc_id", "terms"])
+
+    files = _committed_docvec_files(state)
+    hits = ray.data.read_parquet(
+        files, columns=["doc_id", "repo", "path", "terms"]
+    ).map_batches(match, batch_format="pyarrow", zero_copy_batch=True)
+    parts = [
+        t for t in hits.iter_batches(batch_format="pyarrow", batch_size=None)
+        if t.num_rows
+    ]
+    if not parts:
+        return np.empty(0, dtype=np.int64), set()
+    rows = pa.concat_tables(parts)
+    ids = rows["doc_id"].to_numpy().astype(np.int64)
+    buckets = _terms_to_buckets(rows, n_buckets)["bucket"].to_pylist()
+    return ids, {int(b) for b in buckets}
 
 
 def _segments_to_postings_fn(dead: np.ndarray, min_dead_id: int, positions: bool):
@@ -493,10 +516,10 @@ def _partial_reencode_segments(
 
     The corpus checkpoint is never scanned; untouched buckets' parquet is
     never rewritten.  Untouched block maxes stay encoded under an older
-    avgdl — valid upper bounds via the scorer's bm_avgdl_lo slack (the
-    update caller enforces _BM_SLACK_LIMIT and falls back to a full
+    avgdl — valid upper bounds via the scorer's bm_avgdl_lo slack
+    (_rewrite_window enforces _BM_SLACK_LIMIT and falls back to a full
     re-encode beyond it).  Crash-safe: the segments manifest is already
-    deleted AND the caller persisted ``affected`` in the debt file
+    deleted AND the window persisted ``affected`` in the debt file
     (pending_reencode.json) before any destructive write — a rerun of the
     SAME op recomputes the same scope, and a DIFFERENT follow-up op unions
     the recorded debt into its own scope, so half-swapped buckets are
@@ -569,6 +592,17 @@ def _partial_reencode_segments(
     _clean_dir(tmp_dir)
     metrics["affected_buckets"] = sorted(affected)
     metrics["reencode_mode"] = "partial"
+
+
+def _docvec_hash(cfg: BuildConfig, tok_id: str, extra: list[str]) -> str:
+    """Fingerprint of the docvec stage: only the config subset the term
+    vectors depend on."""
+    from ..state.manifest import config_hash
+
+    return config_hash(
+        {"langs": cfg.langs, "tokenizer": tok_id,
+         "positions": cfg.positions, "extra": extra}
+    )
 
 
 def _tokenizer_id(tokenizer) -> str:
@@ -645,9 +679,10 @@ def build_index(
     from ..state.manifest import config_hash as _cfg_hash
 
     cfg = cfg or BuildConfig()
-    # _tok_id: internal override for maintenance flows (delete_docs) that
-    # re-run segments on an index whose tokenizer OBJECT is unavailable —
-    # stage fingerprints and config.json must keep the original identity
+    # _tok_id: internal override for maintenance flows (update/delete
+    # windows, compact, merge) that re-run stages on an index whose
+    # tokenizer OBJECT is unavailable — stage fingerprints and config.json
+    # must keep the original identity
     tok_id = _tok_id if _tok_id is not None else _tokenizer_id(tokenizer)
     state = BuildState(build_dir, {**asdict(cfg), "tokenizer": tok_id})
     state.write_sidecar(
@@ -658,11 +693,7 @@ def build_index(
     # per-stage fingerprints: each stage is keyed only by the config subset
     # it depends on — retuning a segments-only knob must not force a full
     # re-tokenize of the corpus
-    docvec_hash = _cfg_hash(
-        {"langs": cfg.langs, "tokenizer": tok_id,
-         "positions": cfg.positions,
-         "extra": [n for n, _ in (extra_stages or [])]}
-    )
+    docvec_hash = _docvec_hash(cfg, tok_id, [n for n, _ in (extra_stages or [])])
     # stats.json carries the scoring params, so those join its fingerprint
     stats_hash = _cfg_hash(
         {"docvec": docvec_hash, "k1": cfg.k1, "b": cfg.b,
@@ -724,19 +755,9 @@ def build_index(
     # ---- stage: stats ------------------------------------------------------
     if not (resume and state.is_complete("stats", stats_hash)):
         m = state.begin("stats", inputs=[docvec_dir], upstream=["docvec"], cfg_hash=stats_hash)
-        dead = _read_tombstones(build_dir)
-        if dead.size:
-            agg = (
-                docvec_cols(["doc_id", "doc_len"])
-                .map_batches(
-                    _drop_dead_fn(dead), batch_format="pyarrow", zero_copy_batch=True
-                )
-                .aggregate(Count(), Sum("doc_len"))
-            )
-        else:
-            agg = docvec_cols(["doc_len"]).aggregate(Count(), Sum("doc_len"))
-        n_docs = int(agg["count()"])
-        total = int(agg["sum(doc_len)"] or 0)
+        n_docs, total = _live_stats(
+            docvec_cols(["doc_id", "doc_len"]), _read_tombstones(build_dir)
+        )
         # exact int sum / count (not a float Mean): bit-identical to the oracle
         avgdl = float(total) / n_docs if n_docs else 0.0
         state.write_sidecar(
@@ -811,7 +832,7 @@ def build_index(
 
 
 def _load_stored_state(build_dir: str, op_name: str):
-    """Shared maintenance-op preamble (update/delete/compact): load
+    """Shared maintenance-op loader (_begin_maintenance, compact, merge): load
     config.json, reject indexes whose docvec content cannot be
     reconstructed from disk (extra_stages), rebuild the BuildConfig +
     BuildState, and require the docvec + stats manifests (the segments
@@ -846,140 +867,173 @@ def _load_stored_state(build_dir: str, op_name: str):
     return cfg, stored_tok, state
 
 
-def delete_docs(build_dir: str, keys: list[tuple[str, str]]) -> BuildState:
-    """Delete documents by (repo, path) from an existing index.
+def _begin_maintenance(
+    build_dir: str, op_name: str, inputs: list[str], tok_id: str | None = None
+) -> tuple[BuildConfig, str, BuildState, StageManifest]:
+    """Preamble of update_index and delete_docs: load the stored config,
+    check the tokenizer (``tok_id``, update only) and the docvec
+    fingerprint, absorb a crashed update's orphan deltas, and open the
+    next ``update-k``/``delete-k`` manifest.  Returns ``(cfg, stored_tok,
+    state, m)``.
 
-    Same tombstone machinery as overwrite updates: matching live docs are
-    marked dead, stats are recomputed over the survivors, and only the
-    term buckets containing the deleted docs' terms are re-encoded
-    (bucket-scoped, O(deleted docs' vocabulary) — see update_index; full
-    re-encode on avgdl drift or doc-sharded layouts).  Crash-safe with
-    the same ordering as update_index (segments manifest invalidated before
-    tombstones/stats are written); rerunning the same delete is a no-op.
-    """
-    from ..state.manifest import config_hash as _cfg_hash
-
-    # validate UP FRONT, before any destructive write (ADVICE r2): the inner
-    # build_index below reconstructs the docvec fingerprint WITHOUT the
-    # original extra_stages / tokenizer objects — if it would mismatch, the
-    # docvec stage would re-run over the empty placeholder corpus AFTER the
-    # segments manifest and stats were already clobbered, stranding the
-    # index in the exact stats/segments-inconsistent state the ordering
-    # comment in update_index warns about.
-    cfg, stored_tok, state = _load_stored_state(build_dir, "delete_docs")
-    expected_docvec_hash = _cfg_hash(
-        {"langs": cfg.langs, "tokenizer": stored_tok,
-         "positions": cfg.positions, "extra": []}
-    )
-    if not state.is_complete("docvec", expected_docvec_hash):
+    Both checks run before any write (ADVICE r2): a full re-encode's inner
+    build_index reconstructs the docvec fingerprint WITHOUT the original
+    tokenizer/extra_stages objects, and on a mismatch would re-run docvec
+    over the empty placeholder corpus AFTER segments and stats were
+    clobbered, stranding the index half-updated."""
+    cfg, stored_tok, state = _load_stored_state(build_dir, op_name)
+    if tok_id is not None and tok_id != stored_tok:
         raise ValueError(
-            "delete_docs cannot reconstruct this index's docvec stage "
+            f"tokenizer mismatch: index was built with {stored_tok!r}, "
+            f"{op_name} called with {tok_id!r}"
+        )
+    if not state.is_complete("docvec", _docvec_hash(cfg, stored_tok, [])):
+        raise ValueError(
+            f"{op_name} cannot reconstruct this index's docvec stage "
             "fingerprint from config.json (custom tokenizer/stages?) — the "
             "re-encode would re-ingest an empty corpus; rebuild instead"
         )
-
-    _absorb_orphan_deltas(state, build_dir)
-
+    _absorb_orphan_deltas(state)
+    kind = op_name.split("_")[0]  # update_index → update-k, delete_docs → delete-k
     k = 0
-    while state.read_manifest(f"delete-{k}") is not None:
+    while state.read_manifest(f"{kind}-{k}") is not None:
         k += 1
-    m = state.begin(f"delete-{k}", inputs=["delete-keys"], upstream=["docvec", "stats", "segments"])
-
-    docvec_dir = state.stage_dir("docvec")
-    key_set = pc.unique(
-        pa.array([f"{r}\x00{p}" for r, p in keys], pa.string())
+    m = state.begin(
+        f"{kind}-{k}", inputs=inputs, upstream=["docvec", "stats", "segments"]
     )
-    key_ref = ray.put(key_set)
+    return cfg, stored_tok, state, m
 
-    def match_deleted(t: pa.Table) -> pa.Table:
-        ck = pc.binary_join_element_wise(
-            t["repo"].combine_chunks(), t["path"].combine_chunks(), "\x00"
-        )
-        return t.filter(pc.is_in(ck, value_set=ray.get(key_ref))).select(["doc_id"])
 
-    dead_rows = (
-        ray.data.read_parquet(docvec_dir, columns=["doc_id", "repo", "path"])
-        .map_batches(match_deleted, batch_format="pyarrow", zero_copy_batch=True)
-        .take_all()
-    )  # bounded by the delete list's doc count
+def _rewrite_window(
+    state: BuildState,
+    cfg: BuildConfig,
+    stored_tok: str,
+    m: StageManifest,
+    newly_dead: np.ndarray,
+    dead_buckets: set[int],
+    delta_dir: str | None = None,
+    base: int | None = None,
+) -> None:
+    """The crash-ordered maintenance window of update_index and
+    delete_docs: tombstone ``newly_dead`` (for an update, next to the delta
+    already in ``delta_dir`` with ids from ``base``), recompute stats from
+    the checkpoint (exact integer sums, never incremented from a possibly
+    already-bumped stats.json, so a crash rerun is idempotent) and
+    re-encode segments; records ``reencode_mode``, ``affected_buckets``
+    (partial only), ``new_n_docs``, ``total_tombstones`` and
+    ``delta_tokens`` (net live-token change) in ``m.metrics``.
+
+    The re-encode is BUCKET-SCOPED: only the buckets of the dead docs'
+    terms (``dead_buckets``), of the delta's terms and of unpaid debt are
+    rewritten.  It falls back to the full re-encode when the index is
+    doc-sharded (id_space growth shifts every posting's doc-range shard),
+    avgdl drifted past _BM_SLACK_LIMIT, the debt scope is unknown, or the
+    scope covers every bucket anyway.  The writes are bucket-scoped; the
+    reads are not (the stats aggregate and the caller's probe each scan
+    the whole checkpoint, column-pruned)."""
+    build_dir = state.build_dir
+    docvec_dir = state.stage_dir("docvec")
     prior = _read_tombstones(build_dir)
-    dead = np.union1d(prior, np.array([r["doc_id"] for r in dead_rows], dtype=np.int64))
+    dead = np.union1d(prior, newly_dead)
 
     # ---- decide the re-encode scope BEFORE the window opens ----------------
     # (pure reads: new stats values, avgdl-drift check, affected buckets —
     # so the debt record written below names every bucket this op may leave
     # half-updated if it crashes)
-    dv = ray.data.read_parquet(docvec_dir, columns=["doc_id", "doc_len"])
-    if dead.size:
-        dv = dv.map_batches(
-            _drop_dead_fn(dead), batch_format="pyarrow", zero_copy_batch=True
-        )
-    agg = dv.aggregate(Count(), Sum("doc_len"))
-    n_docs, total = int(agg["count()"]), int(agg["sum(doc_len)"] or 0)
+    n_docs, total = _live_stats(
+        ray.data.read_parquet(docvec_dir, columns=["doc_id", "doc_len"]), dead
+    )
     if n_docs == 0:
-        raise ValueError("delete_docs would empty the index; rebuild instead")
+        raise ValueError(f"{m.stage} would empty the index; rebuild instead")
     stats = state.read_sidecar("stats.json")
+    old_total = int(stats["total_tokens"])
     new_avgdl = float(total) / n_docs
-    lo = float(stats.get("bm_avgdl_lo") or new_avgdl)
-    hi = float(stats.get("bm_avgdl_hi") or new_avgdl)
-    lo2, hi2 = min(lo, new_avgdl), max(hi, new_avgdl)
-    newly_dead = np.array([r["doc_id"] for r in dead_rows], dtype=np.int64)
-    debt = _read_reencode_debt(build_dir)
-    affected: set[int] | None = None
+    lo2 = min(float(stats.get("bm_avgdl_lo") or new_avgdl), new_avgdl)
+    hi2 = max(float(stats.get("bm_avgdl_hi") or new_avgdl), new_avgdl)
+    debt, _ = _read_reencode_debt(build_dir)
+    scope: set[int] | None = None
     if debt is not None and not cfg.doc_shards and hi2 <= lo2 * _BM_SLACK_LIMIT:
-        affected = _affected_buckets(docvec_dir, cfg.n_buckets, newly_dead, None)
-    scope = None if affected is None else (affected | debt)  # affected≠None ⇒ debt≠None
+        # the delta scan is skipped entirely when debt or drift already
+        # forces a full re-encode (debt None = unknown scope)
+        scope = dead_buckets | debt
+        if delta_dir is not None:
+            # the delta's term buckets, reduced per batch: only ints shuffle
+            parts = ray.data.read_parquet(delta_dir, columns=["terms"]).map_batches(
+                lambda t, _n=cfg.n_buckets: _terms_to_buckets(t, _n),
+                batch_format="pyarrow",
+                zero_copy_batch=True,
+            )
+            scope |= {int(b) for b in parts.unique("bucket")}
+    id_space = _parquet_rows(docvec_dir)  # includes the delta
+    if base is None:
+        # decoded postings with ids past the live id space are ghosts from
+        # a crashed, since-absorbed delta — dropped
+        base = id_space
 
-    # ---- open the window: record debt FIRST, then invalidate segments ------
-    _write_reencode_debt(build_dir, scope)
+    # ---- open the window: record debt, then invalidate segments -----------
+    # Ordering is load-bearing (crash safety): the debt file is written
+    # FIRST so a crash followed by a DIFFERENT maintenance op still
+    # re-encodes this op's buckets; the segments manifest is deleted before
+    # stats/tombstones so a crash leaves an index that resume treats as
+    # segments-incomplete (ScorerActor refuses to serve it) rather than one
+    # whose block-max bounds were baked under the old avgdl — WAND/BMW
+    # could silently mis-prune.
+    # window_dead (updates only) = the ids THIS window newly tombstones:
+    # absorbing the uncommitted delta resurrects them, and ids already dead
+    # from committed ops must never be resurrected.  A crashed delete's
+    # tombstones are kept (the deletion is idempotent and user-intended).
+    window_dead = None if delta_dir is None else np.setdiff1d(newly_dead, prior)
+    _write_reencode_debt(build_dir, scope, window_dead)
     seg_manifest = os.path.join(build_dir, "manifests", "segments.json")
     if os.path.exists(seg_manifest):
         os.remove(seg_manifest)
-    _write_tombstones(build_dir, dead)
-
-    id_space = _parquet_rows(docvec_dir)
-    stats["n_docs"] = n_docs
-    stats["total_tokens"] = total
-    stats["avgdl"] = new_avgdl
-    stats["id_space"] = id_space
+    if dead.size:
+        _write_tombstones(build_dir, dead)
+    stats.update(n_docs=n_docs, total_tokens=total, avgdl=new_avgdl, id_space=id_space)
     state.write_sidecar("stats.json", stats)
 
-    # ---- re-encode: bucket-scoped when the deletion allows (see
-    # update_index — same drift/doc-shard fallbacks; scope = this delete's
-    # affected buckets ∪ any unpaid debt from a crashed prior op)
+    # ---- re-encode segments: bucket-scoped when the scope allows ---------
     if scope is not None and len(scope) < cfg.n_buckets:
         _set_encode_avgdl(state, lo2, hi2)
         sm = state.begin(
             "segments", inputs=[docvec_dir], upstream=["docvec", "stats"],
             cfg_hash=state.cfg_hash,
         )
-        # delta_base = id_space: decoded postings with ids past the live id
-        # space are ghosts from a crashed, since-absorbed delta — dropped
         _partial_reencode_segments(
-            state, cfg, scope, dead, None, id_space, sm.metrics
+            state, cfg, scope, dead, delta_dir, base, sm.metrics
         )
         sm.rows_out = _parquet_rows(state.stage_dir("segments"))
         state.commit(sm)
-        reencode_mode = "partial"
+        m.metrics.update(reencode_mode="partial", affected_buckets=len(scope))
     else:
-        # snapshot config.json: the inner build_index rewrites it, and this
-        # flow must preserve the ORIGINAL tokenizer identity
+        # sweep a crashed partial run's tmp dir: the full encode cleans only
+        # stage=segments, and a stale .partial would otherwise persist.
+        # _tok_id keeps the stored tokenizer identity (the fingerprint was
+        # checked up front), so config.json is rewritten unchanged.
         shutil.rmtree(state.stage_dir("segments") + ".partial", ignore_errors=True)
-        cfg_snapshot = state.read_sidecar("config.json")
-        build_index(
-            ray.data.from_items([]), build_dir, cfg, resume=True, _tok_id=stored_tok
-        )
-        state.write_sidecar("config.json", cfg_snapshot)
-        reencode_mode = "full"
+        # docvec complete → the empty corpus is never touched
+        build_index(ray.data.from_items([]), build_dir, cfg, _tok_id=stored_tok)
+        m.metrics["reencode_mode"] = "full"
     _clear_reencode_debt(build_dir)  # window closed: segments consistent
+    m.metrics.update(
+        new_n_docs=n_docs, total_tombstones=int(dead.size), delta_tokens=total - old_total
+    )
 
-    m.rows_out = len(dead_rows)
-    m.metrics = {
-        "deleted_docs": len(dead_rows),
-        "total_tombstones": int(dead.size),
-        "new_n_docs": n_docs,
-        "reencode_mode": reencode_mode,
-    }
+
+def delete_docs(build_dir: str, keys: list[tuple[str, str]]) -> BuildState:
+    """Delete documents by (repo, path) from an existing index: matching
+    docs are tombstoned, stats are recomputed over the survivors, and the
+    term buckets of the deleted docs' terms are re-encoded, through the
+    same crash-ordered window as overwrite updates (see _rewrite_window).
+    Rerunning the same delete is a no-op.
+    """
+    cfg, stored_tok, state, m = _begin_maintenance(
+        build_dir, "delete_docs", ["delete-keys"]
+    )
+    key_set = pa.array([f"{r}\x00{p}" for r, p in keys], pa.string())
+    matched, dead_buckets = _probe_keys(state, cfg.n_buckets, key_set)
+    _rewrite_window(state, cfg, stored_tok, m, matched, dead_buckets)
+    m.rows_out = m.metrics["deleted_docs"] = int(matched.size)
     state.commit(m)
     return state
 
@@ -993,192 +1047,92 @@ def update_index(
     existing index WITHOUT re-tokenizing the existing documents.
 
     Semantics: delta docs get fresh ids appended after the existing id
-    space (old ids are stable — resume/rank determinism preserved);
-    collection stats are updated exactly (integer count/sum addition); the
-    segments re-encode is BUCKET-SCOPED — only term buckets whose posting
-    lists the delta (or the docs it supersedes) can change are decoded,
-    merged and rewritten, so a small delta costs O(touched buckets), not
-    O(index).  Untouched buckets keep block maxes from an older avgdl;
-    the scorer's bm_avgdl_lo slack keeps WAND/BMW bounds valid, and drift
-    beyond _BM_SLACK_LIMIT (or a doc-sharded layout, whose doc-range
-    shard math shifts with id_space) falls back to the full re-encode.
-    Query results are exactly what a from-scratch build over old∪new
-    would score (doc ids aside).  The update is recorded as an
-    ``update-<k>`` manifest with the delta's lineage.
+    space (old ids are stable — resume/rank determinism preserved); a live
+    doc whose (repo, path) re-appears in the delta is superseded
+    (tombstoned); stats are recomputed exactly and only the term buckets
+    the delta or the superseded docs touch are re-encoded (see
+    _rewrite_window: bucket-scoped writes, whole-checkpoint reads).
+    Untouched buckets keep block maxes from an older avgdl; the scorer's
+    bm_avgdl_lo slack keeps WAND/BMW bounds valid.  Query results are
+    exactly what a from-scratch build over old∪new would score (doc ids
+    aside).  The update is recorded as an ``update-<k>`` manifest with the
+    delta's lineage.
 
     ``tokenizer`` must match the original build's (§2.11 hook, default
     code-aware tokenizer).
     """
-    cfg, stored_tok, state = _load_stored_state(build_dir, "update_index")
-    if stored_tok != _tokenizer_id(tokenizer):
-        raise ValueError(
-            f"tokenizer mismatch: index was built with {stored_tok!r}, "
-            f"update called with {_tokenizer_id(tokenizer)!r}"
-        )
+    import pyarrow.parquet as pq
 
-    _absorb_orphan_deltas(state, build_dir)
-
-    k = 0
-    while state.read_manifest(f"update-{k}") is not None:
-        k += 1
-    m = state.begin(
-        f"update-{k}", inputs=["delta-corpus"], upstream=["docvec", "stats", "segments"]
+    cfg, stored_tok, state, m = _begin_maintenance(
+        build_dir, "update_index", ["delta-corpus"], _tokenizer_id(tokenizer)
     )
 
     # ---- crash-idempotent delta ingest ------------------------------------
     # The delta lands in its OWN subdir of the docvec checkpoint, which is
-    # wiped first: a rerun after a crash anywhere below re-derives the doc-id
-    # base from the files EXCLUDING this subdir and overwrites the partial
-    # delta — no duplicate docs, no duplicate ids.  Stats are recomputed from
-    # the checkpoint (exact integer sums), never incremented from a possibly
-    # already-bumped stats.json.
+    # wiped first: a rerun after a crash re-derives the doc-id base from the
+    # remaining files and overwrites the partial delta — no duplicate docs,
+    # no duplicate ids.
     docvec_dir = state.stage_dir("docvec")
-    delta_dirname = f"update-{k}"
-    delta_dir = os.path.join(docvec_dir, delta_dirname)
+    delta_dir = os.path.join(docvec_dir, m.stage)
     _clean_dir(delta_dir)
-    base = _parquet_rows(docvec_dir, exclude_subdir=delta_dirname)
-
-    ds = _ingest_termvecs(new_corpus, cfg, tokenizer, base=base)
-    ds.write_parquet(delta_dir)
+    base = _parquet_rows(docvec_dir)
+    _ingest_termvecs(new_corpus, cfg, tokenizer, base=base).write_parquet(delta_dir)
     delta_rows = _parquet_rows(delta_dir)
 
-    # ---- tombstones: delta rows SUPERSEDE same-(repo,path) docs -----------
-    # Overwrite semantics: a live doc whose (repo, path) re-appears in the
-    # delta is marked dead (its id stays allocated, its postings are dropped
-    # at the next segments encode, stats exclude it).  The dead-id set is
-    # bounded by the DELTA size, so collecting it on the driver is safe at
-    # any corpus size; the membership probe against the existing checkpoint
-    # is a broadcast key-set + vectorized is_in (no corpus materialization).
-    # Idempotent on crash-rerun: recomputing from the same delta yields the
-    # same ids and the union below absorbs duplicates.
-    import pyarrow.parquet as pq_mod
-
-    delta_keys = pq_mod.read_table(delta_dir, columns=["repo", "path"])
-    dkeys = pc.binary_join_element_wise(
-        delta_keys["repo"].combine_chunks(), delta_keys["path"].combine_chunks(), "\x00"
+    # ---- delta rows SUPERSEDE same-(repo, path) docs -----------------------
+    # Overwrite semantics: the superseded doc's id stays allocated, its
+    # postings are dropped by the re-encode and stats exclude it.  The
+    # dead-id set is bounded by the DELTA size, so collecting it on the
+    # driver is safe at any corpus size.  Idempotent on crash-rerun: the
+    # same delta yields the same ids and the tombstone union absorbs
+    # duplicates.
+    delta_keys = _path_keys(pq.read_table(delta_dir, columns=["repo", "path"]))
+    superseded, dead_buckets = _probe_keys(state, cfg.n_buckets, delta_keys)
+    _rewrite_window(
+        state, cfg, stored_tok, m, superseded, dead_buckets, delta_dir, base
     )
-    old_files = []
-    for root, _dirs, files in os.walk(docvec_dir):
-        if os.path.basename(root) == delta_dirname:
-            continue
-        old_files += [os.path.join(root, f) for f in files if f.endswith(".parquet")]
-    dkeys_ref = ray.put(pc.unique(dkeys))
-
-    def match_superseded(t: pa.Table) -> pa.Table:
-        keys = pc.binary_join_element_wise(
-            t["repo"].combine_chunks(), t["path"].combine_chunks(), "\x00"
-        )
-        return t.filter(pc.is_in(keys, value_set=ray.get(dkeys_ref))).select(
-            ["doc_id"]
-        )
-
-    newly_dead_rows = (
-        ray.data.read_parquet(old_files, columns=["doc_id", "repo", "path"])
-        .map_batches(match_superseded, batch_format="pyarrow", zero_copy_batch=True)
-        .take_all()
-    )  # ≤ |delta| rows
-    prior_dead = _read_tombstones(build_dir)
-    newly_dead = np.array([r["doc_id"] for r in newly_dead_rows], dtype=np.int64)
-    dead = np.union1d(prior_dead, newly_dead)
-
-    # ---- decide the re-encode scope BEFORE the window opens ----------------
-    # (pure reads: new stats values over checkpoint∪delta, avgdl-drift
-    # check, affected buckets — so the debt record below names every bucket
-    # this op may leave half-updated if it crashes)
-    dv = ray.data.read_parquet(docvec_dir, columns=["doc_id", "doc_len"])
-    if dead.size:
-        dv = dv.map_batches(
-            _drop_dead_fn(dead), batch_format="pyarrow", zero_copy_batch=True
-        )
-    agg = dv.aggregate(Count(), Sum("doc_len"))
-    n_docs, total = int(agg["count()"]), int(agg["sum(doc_len)"] or 0)
-    stats = state.read_sidecar("stats.json")
-    old_total = int(stats["total_tokens"])
-    new_avgdl = float(total) / n_docs if n_docs else 0.0
-    lo = float(stats.get("bm_avgdl_lo") or new_avgdl)
-    hi = float(stats.get("bm_avgdl_hi") or new_avgdl)
-    lo2, hi2 = min(lo, new_avgdl), max(hi, new_avgdl)
-    debt = _read_reencode_debt(build_dir)
-    affected: set[int] | None = None
-    if debt is not None and not cfg.doc_shards and hi2 <= lo2 * _BM_SLACK_LIMIT:
-        # skip the affected-bucket scan entirely when debt already forces a
-        # full re-encode (debt None = unknown scope)
-        affected = _affected_buckets(
-            docvec_dir, cfg.n_buckets, newly_dead, delta_dir
-        )
-    scope = None if affected is None else (affected | debt)  # affected≠None ⇒ debt≠None
-
-    # ---- open the window: record debt, then invalidate segments -----------
-    # Ordering is load-bearing (crash safety): the debt file is written
-    # FIRST so a crash followed by a DIFFERENT maintenance op still
-    # re-encodes this op's buckets; the segments manifest is deleted before
-    # stats/tombstones so a crash leaves an index that resume treats as
-    # segments-incomplete (ScorerActor refuses to serve it) rather than one
-    # whose block-max bounds were baked under the old avgdl — WAND/BMW
-    # could silently mis-prune.
-    # window_dead = only the ids THIS window newly tombstones: ids already
-    # dead from committed ops must never be resurrected by absorption
-    _write_reencode_debt(
-        build_dir, scope, window_dead=np.setdiff1d(newly_dead, prior_dead)
-    )
-    seg_manifest = os.path.join(build_dir, "manifests", "segments.json")
-    if os.path.exists(seg_manifest):
-        os.remove(seg_manifest)
-    if dead.size or prior_dead.size:
-        _write_tombstones(build_dir, dead)
-
-    stats["n_docs"] = n_docs
-    stats["total_tokens"] = total
-    stats["avgdl"] = new_avgdl
-    stats["id_space"] = base + delta_rows  # == _parquet_rows(docvec_dir)
-    state.write_sidecar("stats.json", stats)
-
-    # ---- re-encode segments: bucket-scoped when the delta allows ----------
-    # O(delta) path: only term buckets touched by the delta's terms or the
-    # superseded docs' terms change (∪ any unpaid debt from a crashed prior
-    # op); everything else keeps byte-identical posting lists.  Falls back
-    # to the full re-encode when (a) the index is doc-sharded (id_space
-    # growth shifts every posting's doc-range shard), (b) avgdl has drifted
-    # past the block-max slack bound, or (c) the scope covers every bucket
-    # anyway.
-    if scope is not None and len(scope) < cfg.n_buckets:
-        _set_encode_avgdl(state, lo2, hi2)
-        sm = state.begin(
-            "segments", inputs=[docvec_dir], upstream=["docvec", "stats"],
-            cfg_hash=state.cfg_hash,
-        )
-        _partial_reencode_segments(
-            state, cfg, scope, dead, delta_dir, base, sm.metrics
-        )
-        sm.rows_out = _parquet_rows(state.stage_dir("segments"))
-        state.commit(sm)
-        m.metrics["reencode_mode"] = "partial"
-        m.metrics["affected_buckets"] = len(scope)
-    else:
-        # sweep a crashed partial run's tmp dir: the full encode cleans only
-        # stage=segments, and a stale .partial would otherwise persist
-        shutil.rmtree(state.stage_dir("segments") + ".partial", ignore_errors=True)
-        build_index(
-            ray.data.from_items([]),  # docvec complete → corpus never touched
-            build_dir,
-            cfg,
-            resume=True,
-            tokenizer=tokenizer,
-        )
-        m.metrics["reencode_mode"] = "full"
-    _clear_reencode_debt(build_dir)  # window closed: segments consistent
-
     m.rows_out = delta_rows
-    m.metrics = {
-        **m.metrics,
-        "delta_docs": delta_rows,
-        "delta_tokens": total - old_total,
-        "new_n_docs": n_docs,
-        "superseded_docs": int(newly_dead.size),
-        "delta_dir": delta_dirname,
-    }
+    m.metrics.update(
+        delta_docs=delta_rows, superseded_docs=int(superseded.size), delta_dir=m.stage
+    )
     state.commit(m)
     return state
+
+
+def _survivor_termvecs(states: list[BuildState]) -> tuple[ray.data.Dataset, int]:
+    """Surviving term vectors of every index in ``states`` with dense doc
+    ids reassigned from 0 by the build's own (repo, path, commit) sort —
+    the docvec input of compact_index's and merge_indexes' fresh builds.
+    Returns ``(termvecs, n_dropped)``, the number of tombstones dropped.
+
+    Committed files only: an orphan ``update-k`` delta (crashed pre-window
+    update_index — no manifest, no pending file, segments intact) must not
+    leak in; compact_index absorbs its own orphans first, and merge's
+    inputs are not ours to mutate."""
+    import pyarrow.parquet as pq
+
+    from .util import drop_empty_blocks
+
+    parts, n_dropped, first = [], 0, None
+    for state in states:
+        files = _committed_docvec_files(state)
+        first = first or files[0]
+        dead = _read_tombstones(state.build_dir)
+        n_dropped += int(dead.size)
+        dv = ray.data.read_parquet(files)
+        if dead.size:
+            dv = dv.map_batches(
+                _drop_dead_fn(dead), batch_format="pyarrow", zero_copy_batch=True
+            )
+        parts.append(dv.drop_columns(["doc_id"]))
+    merged = parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
+    # the dead-filter can empty whole blocks, and Ray stores those
+    # schema-less — heal before the id sort so no schema-less empty can
+    # poison the sorted dataset's schema (pipelines/util.py containment).
+    # Schema comes from a COMMITTED file (a torn orphan parquet could fail
+    # or mislead the footer read).
+    schema = pa.schema([f for f in pq.read_schema(first) if f.name != "doc_id"])
+    return assign_doc_ids(drop_empty_blocks(merged, schema), base=0), n_dropped
 
 
 def compact_index(build_dir: str) -> BuildState:
@@ -1203,8 +1157,6 @@ def compact_index(build_dir: str) -> BuildState:
     between the renames is healed by the recovery branch below on the next
     call.  No tombstones exist afterwards.
     """
-    from ..stages.docvec import assign_doc_ids
-
     old_dir = build_dir + ".old"
     tmp_dir = build_dir + ".compact"
     if os.path.isdir(old_dir) and not os.path.exists(
@@ -1228,7 +1180,7 @@ def compact_index(build_dir: str) -> BuildState:
     # crashed-update deltas never committed: drop them before the survivor
     # scan below reads the checkpoint (their buckets land in the debt file,
     # which the swap discards along with the fully re-encoded segments)
-    _absorb_orphan_deltas(state, build_dir)
+    _absorb_orphan_deltas(state)
 
     dead = _read_tombstones(build_dir)
     # no-op ONLY when the index is healthy: with the segments manifest
@@ -1236,32 +1188,11 @@ def compact_index(build_dir: str) -> BuildState:
     # must proceed — its full shadow re-encode + swap is the heal — else
     # "compact to recover" would return success and leave the index
     # unservable (ScorerActor refuses a manifest-less index)
-    healthy = os.path.exists(
-        os.path.join(build_dir, "manifests", "segments.json")
-    ) and not os.path.exists(os.path.join(build_dir, _PENDING_FILE))
-    if dead.size == 0 and healthy:
+    if dead.size == 0 and _healthy(build_dir):
         return state  # nothing tombstoned — the index is already compact
 
     # ---- survivor term vectors, ids reassigned densely --------------------
-    docvec_dir = state.stage_dir("docvec")
-    dv = ray.data.read_parquet(docvec_dir)
-    dv = dv.map_batches(
-        _drop_dead_fn(dead), batch_format="pyarrow", zero_copy_batch=True
-    ).drop_columns(["doc_id"])
-    # the dead-filter can empty whole blocks, and Ray stores those
-    # schema-less — heal before the id sort so no schema-less empty can
-    # poison the sorted dataset's schema (pipelines/util.py containment)
-    import glob as _glob
-
-    import pyarrow.parquet as _pq
-
-    from .util import drop_empty_blocks
-
-    dv_schema = _pq.read_schema(
-        sorted(_glob.glob(os.path.join(docvec_dir, "**", "*.parquet"), recursive=True))[0]
-    )
-    dv_schema = pa.schema([f for f in dv_schema if f.name != "doc_id"])
-    survivors = assign_doc_ids(drop_empty_blocks(dv, dv_schema), base=0)
+    survivors, n_dropped = _survivor_termvecs([state])
 
     # ---- shadow build (stats + segments from the given termvecs) ----------
     build_index(
@@ -1285,11 +1216,13 @@ def compact_index(build_dir: str) -> BuildState:
     # discarded with the old id space they describe — compaction is the
     # history reset point
     m = new_state.begin(
-        "compact-0", inputs=[docvec_dir], upstream=["docvec", "stats", "segments"]
+        "compact-0",
+        inputs=[state.stage_dir("docvec")],
+        upstream=["docvec", "stats", "segments"],
     )
     m.rows_out = int(new_state.read_sidecar("stats.json")["n_docs"])
     m.metrics = {
-        "dropped_tombstones": int(dead.size),
+        "dropped_tombstones": n_dropped,
         "n_docs": m.rows_out,
     }
     new_state.commit(m)
@@ -1331,9 +1264,6 @@ def merge_indexes(build_dirs: list[str], out_dir: str) -> BuildState:
     shuffle of the normal segments stage — exactly the fresh-build plan
     minus tokenization.
     """
-    from ..stages.docvec import assign_doc_ids
-    from .util import drop_empty_blocks
-
     if len(build_dirs) < 2:
         raise ValueError("merge_indexes needs at least two input indexes")
     marker = os.path.join(out_dir, "merge_in_progress.json")
@@ -1346,21 +1276,17 @@ def merge_indexes(build_dirs: list[str], out_dir: str) -> BuildState:
         raise ValueError(f"output {out_dir} is already an index; refusing to overwrite")
 
     # ---- validate all inputs up front (no writes until all pass) ----------
-    cfgs, toks, states = [], [], []
+    loaded = []  # (cfg, tokenizer id, state) per input
     for d in build_dirs:
-        cfg, tok, state = _load_stored_state(d, "merge_indexes")
-        if state.read_manifest("segments") is None or os.path.exists(
-            os.path.join(d, _PENDING_FILE)
-        ):
+        loaded.append(_load_stored_state(d, "merge_indexes"))
+        if not _healthy(d):
             raise ValueError(
                 f"{d} has a crashed maintenance window or incomplete segments; "
                 "run compact_index on it before merging"
             )
-        cfgs.append(cfg)
-        toks.append(tok)
-        states.append(state)
-    base_cfg, base_tok = asdict(cfgs[0]), toks[0]
-    for d, cfg, tok in zip(build_dirs[1:], cfgs[1:], toks[1:]):
+    states = [st for _, _, st in loaded]
+    base_cfg, base_tok = asdict(loaded[0][0]), loaded[0][1]
+    for d, (cfg, tok, _) in zip(build_dirs[1:], loaded[1:]):
         if asdict(cfg) != base_cfg or tok != base_tok:
             raise ValueError(
                 f"config mismatch: {d} was built with different settings "
@@ -1370,37 +1296,7 @@ def merge_indexes(build_dirs: list[str], out_dir: str) -> BuildState:
             )
 
     # ---- union of surviving term vectors, ids reassigned densely ----------
-    import pyarrow.parquet as _pq
-
-    parts = []
-    n_dropped = 0
-    first_committed: list[str] | None = None
-    for d, state in zip(build_dirs, states):
-        docvec_dir = state.stage_dir("docvec")
-        # committed files only: an orphan update-k delta (crashed pre-window
-        # update_index — no manifest, no pending file, segments intact, so
-        # the validation above passes) must not leak into the merge
-        files = _committed_docvec_files(state, docvec_dir)
-        if first_committed is None:
-            first_committed = files
-        dv = ray.data.read_parquet(files)
-        dead = _read_tombstones(d)
-        n_dropped += int(dead.size)
-        if dead.size:
-            dv = dv.map_batches(
-                _drop_dead_fn(dead), batch_format="pyarrow", zero_copy_batch=True
-            )
-        parts.append(dv.drop_columns(["doc_id"]))
-    merged = parts[0]
-    for p in parts[1:]:
-        merged = merged.union(p)
-    # the dead-filter can empty whole blocks (schema-less in Ray 2.49) —
-    # heal before the id sort, same containment as compact_index.  Schema
-    # comes from a COMMITTED file (a torn orphan parquet could fail or
-    # mislead the footer read).
-    dv_schema = _pq.read_schema(first_committed[0])
-    dv_schema = pa.schema([f for f in dv_schema if f.name != "doc_id"])
-    termvecs = assign_doc_ids(drop_empty_blocks(merged, dv_schema), base=0)
+    termvecs, n_dropped = _survivor_termvecs(states)
 
     # ---- fresh build (stats + segments from the merged termvecs) ----------
     # marker BEFORE the first output byte: a crash anywhere below leaves
@@ -1414,7 +1310,7 @@ def merge_indexes(build_dirs: list[str], out_dir: str) -> BuildState:
     state = build_index(
         ray.data.from_items([]),  # unused: _termvecs supplies the stage
         out_dir,
-        cfgs[0],
+        loaded[0][0],
         resume=False,
         _tok_id=base_tok,
         _termvecs=termvecs,

@@ -5,6 +5,8 @@ assignment aside — ids are compared through (repo, path) identity)."""
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -81,11 +83,13 @@ def test_incremental_equals_full_build(ray_session, corpora, tmp_path_factory):
         assert sorted(pm_full[d] for d in df_) == sorted(pm_incr[d] for d in di_), q
 
 
-def test_update_overwrites_changed_path(ray_session, tmp_path_factory):
+@pytest.mark.parametrize("doc_shards", [None, 2], ids=["unsharded", "sharded"])
+def test_update_overwrites_changed_path(ray_session, tmp_path_factory, doc_shards):
     """Tombstone semantics: re-ingesting a changed (repo, path) supersedes
     the old doc — queries return ONLY the new version, stats exclude the
     dead doc, and the updated index scores exactly like a fresh build over
-    the post-overwrite corpus."""
+    the post-overwrite corpus.  A doc-sharded index always takes the full
+    re-encode, and config.json comes through the op byte-identical."""
     import json
 
     from sharesci_ray.functions.text import tokenize
@@ -94,8 +98,9 @@ def test_update_overwrites_changed_path(ray_session, tmp_path_factory):
     base = make_corpus(80, seed=123)
     d_incr = str(tmp_path_factory.mktemp("tomb_incr"))
     d_full = str(tmp_path_factory.mktemp("tomb_full"))
-    cfg = BuildConfig(n_buckets=8)
+    cfg = BuildConfig(n_buckets=8, doc_shards=doc_shards)
     build_index(corpus_from_table(base), d_incr, cfg, resume=False)
+    config_before = Path(d_incr, "config.json").read_bytes()
 
     # delta: same (repo, path) as base row 5, brand-new content
     row = base.slice(5, 1).to_pydict()
@@ -103,7 +108,11 @@ def test_update_overwrites_changed_path(ray_session, tmp_path_factory):
     row["content"] = ["freshoverwrite uniquenewbody replacement text"]
     delta = pa.Table.from_pydict(row, schema=base.schema)
     state = update_index(d_incr, corpus_from_table(delta, parallelism=1))
-    assert state.read_manifest("update-0")["metrics"]["superseded_docs"] == 1
+    metrics = state.read_manifest("update-0")["metrics"]
+    assert metrics["superseded_docs"] == 1
+    if doc_shards:
+        assert metrics["reencode_mode"] == "full"
+    assert Path(d_incr, "config.json").read_bytes() == config_before
 
     dead = _read_tombstones(d_incr)
     assert dead.size == 1
@@ -173,10 +182,12 @@ def test_update_overwrite_crash_rerun(ray_session, tmp_path_factory):
     assert s["id_space"] == 61
 
 
-def test_delete_docs_equals_fresh_build(ray_session, tmp_path_factory):
+@pytest.mark.parametrize("doc_shards", [None, 2], ids=["unsharded", "sharded"])
+def test_delete_docs_equals_fresh_build(ray_session, tmp_path_factory, doc_shards):
     """delete_docs tombstones by (repo, path); the resulting index scores
     exactly like a fresh build over the survivors, and a rerun of the same
-    delete is a no-op."""
+    delete is a no-op.  A doc-sharded index always takes the full
+    re-encode, and config.json comes through both deletes byte-identical."""
     import json
 
     from sharesci_ray.pipelines.build import _read_tombstones, delete_docs
@@ -184,8 +195,9 @@ def test_delete_docs_equals_fresh_build(ray_session, tmp_path_factory):
     base = make_corpus(70, seed=555)
     d_del = str(tmp_path_factory.mktemp("del"))
     d_ref = str(tmp_path_factory.mktemp("del_ref"))
-    cfg = BuildConfig(n_buckets=8)
+    cfg = BuildConfig(n_buckets=8, doc_shards=doc_shards)
     build_index(corpus_from_table(base), d_del, cfg, resume=False)
+    config_before = Path(d_del, "config.json").read_bytes()
 
     victims = [3, 17]
     keys = [
@@ -198,6 +210,10 @@ def test_delete_docs_equals_fresh_build(ray_session, tmp_path_factory):
     state2 = delete_docs(d_del, keys)
     assert state2.read_manifest("delete-1")["metrics"]["deleted_docs"] == 2
     assert _read_tombstones(d_del).size == 2
+    if doc_shards:
+        for op in ("delete-0", "delete-1"):
+            assert state2.read_manifest(op)["metrics"]["reencode_mode"] == "full"
+    assert Path(d_del, "config.json").read_bytes() == config_before
 
     keep = [i for i in range(70) if i not in victims]
     survivors = base.take(keep)
@@ -710,6 +726,72 @@ def test_crashed_overwrite_resurrects_superseded_doc(
     survivors = base.take([i for i in range(60) if i != 7])  # doc 3 SURVIVES
     build_index(corpus_from_table(survivors), d_ref, cfg, resume=False)
     _rank_equal(d, d_ref)
+
+
+@pytest.mark.parametrize("swapped", [False, True], ids=["before_swap", "after_swap"])
+def test_crashed_delete_stays_deleted(
+    ray_session, tmp_path_factory, monkeypatch, swapped
+):
+    """A delete window crashes inside its bucket-scoped re-encode (before
+    any bucket swap, or after swapping the victim's buckets), then an
+    update with an unrelated delta runs: a delete's tombstones are never
+    resurrected, so the victim stays deleted; the update pays the crashed
+    delete's debt; and the index ranks equal to a fresh build over
+    (original − victim) ∪ delta."""
+    import os
+
+    from sharesci_ray.pipelines import build as B
+    from sharesci_ray.pipelines.build import _read_tombstones, delete_docs
+
+    base = make_corpus(60, seed=727)
+    victim = pa.Table.from_pydict(
+        {
+            "repo": ["zzz/victim"], "path": ["v.py"], "commit": ["c5"],
+            "lang": ["py"], "content": ["qqvictim qqvictim qqvictim"],
+        },
+        schema=base.schema,
+    )
+    delta = pa.Table.from_pydict(
+        {
+            "repo": ["zzz/new"], "path": ["n.py"], "commit": ["c6"],
+            "lang": ["py"], "content": ["xxnewdoc xxnewdoc"],
+        },
+        schema=base.schema,
+    )
+    d = str(tmp_path_factory.mktemp("delcrash"))
+    d_ref = str(tmp_path_factory.mktemp("delcrash_ref"))
+    cfg = BuildConfig(n_buckets=64)
+    build_index(corpus_from_table(pa.concat_tables([base, victim])), d, cfg, resume=False)
+
+    real = B._partial_reencode_segments
+
+    def crash(*a, **k):
+        if swapped:
+            real(*a, **k)
+        raise RuntimeError("injected crash")
+
+    monkeypatch.setattr(B, "_partial_reencode_segments", crash)
+    with pytest.raises(RuntimeError, match="injected crash"):
+        delete_docs(d, [("zzz/victim", "v.py")])
+    monkeypatch.undo()
+    assert os.path.exists(os.path.join(d, "pending_reencode.json"))
+    assert _read_tombstones(d).size == 1  # victim tombstoned mid-window
+
+    st = update_index(d, corpus_from_table(delta, parallelism=1))
+    # the debt (the victim's buckets) joined the update's partial scope
+    assert st.read_manifest("update-0")["metrics"]["reencode_mode"] == "partial"
+    assert not os.path.exists(os.path.join(d, "pending_reencode.json"))
+    assert os.path.exists(os.path.join(d, "manifests", "segments.json"))
+    assert _read_tombstones(d).size == 1  # not resurrected
+
+    build_index(
+        corpus_from_table(pa.concat_tables([base, delta])), d_ref, cfg,
+        resume=False,
+    )
+    _rank_equal(d, d_ref)
+    s = ScorerActor(d, k=10, scorer="daat")
+    assert s.score_query("qqvictim")[0].size == 0
+    assert s.score_query("xxnewdoc")[0].size == 1
 
 
 def test_compact_heals_crashed_window(ray_session, tmp_path_factory, monkeypatch):
