@@ -41,8 +41,8 @@ def _quiet_empty_schema_warnings() -> None:
     WARNING: this version stores every 0-row block schema-less (even when
     the UDF returned a typed empty table), so sparse-keyed shuffles always
     trip it.  The actionable failure mode behind it — joins crashing on
-    schema-less empties — is handled by sharesci_ray.pipelines.util.
-    drop_empty_blocks; the remaining log line is a known-cosmetic Ray
+    schema-less empties — is handled by sharesci_ray.pipelines.util.join;
+    the remaining log line is a known-cosmetic Ray
     artifact (see .claude/skills/verify)."""
     import logging
 

@@ -15,18 +15,10 @@ terms) is load-bearing: it makes engine scores bit-identical to the oracle's
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 K1 = 1.2
 B = 0.75
-
-
-@dataclass(frozen=True)
-class Bm25Params:
-    k1: float = K1
-    b: float = B
 
 
 def idf(df: int | np.ndarray, n_docs: int) -> float | np.ndarray:

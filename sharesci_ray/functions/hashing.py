@@ -1,9 +1,9 @@
-"""Content hashing + near-dup sketch kernels (SURVEY.md M1/U2 + task brief:
-exact dedup, MinHash+LSH, SimHash, n-gram Jaccard, embedding-cosine).
+"""Content hashing kernels (SURVEY.md M1/U2): per-row sha256, the
+polynomial term hash, stable token hashes, SimHash and exact Jaccard.  The
+MinHash/LSH kernels live in ``functions/dedup.py``.
 
 Pure functions over Arrow/numpy batches; no Ray imports.  (ref: n/a,
-SURVEY.md §0 — reference checkout empty; MinHash per Broder 1997, SimHash per
-Charikar STOC 2002.)
+SURVEY.md §0 — reference checkout empty; SimHash per Charikar STOC 2002.)
 """
 
 from __future__ import annotations
@@ -13,10 +13,6 @@ import hashlib
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-
-from .text import tokenize
-
-_MERSENNE = np.uint64((1 << 61) - 1)
 
 
 def sha256_column(col: pa.Array | pa.ChunkedArray) -> pa.Array:
@@ -110,71 +106,6 @@ def _hash_tokens_u64(tokens: pa.Array) -> np.ndarray:
     return h_uniq[idx]
 
 
-def token_hashes(text: str) -> np.ndarray:
-    """64-bit stable hashes of a single doc's tokens."""
-    toks = tokenize(text)
-    return np.array(
-        [
-            int.from_bytes(hashlib.blake2b(t.encode(), digest_size=8).digest(), "little")
-            for t in toks
-        ],
-        dtype=np.uint64,
-    )
-
-
-def shingle_hashes(token_hash_arr: np.ndarray, k: int = 3) -> np.ndarray:
-    """k-gram shingle hashes from token hashes (rolling combine, vectorized)."""
-    n = token_hash_arr.size
-    if n == 0:
-        return np.empty(0, dtype=np.uint64)
-    if n < k:
-        # single shingle of whatever we have
-        h = np.uint64(1469598103934665603)
-        with np.errstate(over="ignore"):  # intended mod-2^64 wraparound
-            for v in token_hash_arr:
-                h = (h ^ v) * np.uint64(1099511628211)
-        return np.array([h], dtype=np.uint64)
-    win = np.lib.stride_tricks.sliding_window_view(token_hash_arr, k)
-    h = np.full(win.shape[0], 1469598103934665603, dtype=np.uint64)
-    prime = np.uint64(1099511628211)
-    with np.errstate(over="ignore"):  # intended mod-2^64 wraparound
-        for j in range(k):
-            h = (h ^ win[:, j]) * prime
-    return h
-
-
-_MERSENNE31 = np.uint64((1 << 31) - 1)
-
-
-def minhash_signature(shingles: np.ndarray, num_perm: int = 128, seed: int = 7) -> np.ndarray:
-    """MinHash signature via universal hashing (a*x+b) mod (2^31-1).
-
-    31-bit prime keeps a*x < 2^62 — exact in uint64, no overflow.  Vectorized
-    (num_perm, n_shingles) outer product; n is the per-doc shingle count.
-    """
-    rng = np.random.default_rng(seed)
-    p = int(_MERSENNE31)
-    a = rng.integers(1, p, size=num_perm, dtype=np.uint64)
-    b = rng.integers(0, p, size=num_perm, dtype=np.uint64)
-    if shingles.size == 0:
-        return np.full(num_perm, np.iinfo(np.uint64).max, dtype=np.uint64)
-    x = (shingles % _MERSENNE31).astype(np.uint64)
-    hx = (np.multiply.outer(a, x) + b[:, None]) % _MERSENNE31
-    return hx.min(axis=1)
-
-
-def minhash_bands(sig: np.ndarray, bands: int = 16) -> np.ndarray:
-    """Fold a signature into ``bands`` band-hashes for LSH bucketing."""
-    rows = sig.size // bands
-    folded = sig[: bands * rows].reshape(bands, rows)
-    h = np.full(bands, 1469598103934665603, dtype=np.uint64)
-    prime = np.uint64(1099511628211)
-    with np.errstate(over="ignore"):  # intended mod-2^64 wraparound
-        for j in range(rows):
-            h = (h ^ folded[:, j]) * prime
-    return h
-
-
 def simhash(token_hash_arr: np.ndarray, weights: np.ndarray | None = None) -> int:
     """64-bit SimHash over token hashes (Charikar 2002). Vectorized bit votes."""
     if token_hash_arr.size == 0:
@@ -189,10 +120,6 @@ def simhash(token_hash_arr: np.ndarray, weights: np.ndarray | None = None) -> in
         if v[i] > 0:
             out |= np.uint64(1) << np.uint64(i)
     return int(out)
-
-
-def hamming_distance(a: int, b: int) -> int:
-    return int(bin(a ^ b).count("1"))
 
 
 def jaccard(a: np.ndarray, b: np.ndarray) -> float:

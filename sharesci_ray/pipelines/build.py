@@ -1025,14 +1025,24 @@ def delete_docs(build_dir: str, keys: list[tuple[str, str]]) -> BuildState:
     docs are tombstoned, stats are recomputed over the survivors, and the
     term buckets of the deleted docs' terms are re-encoded, through the
     same crash-ordered window as overwrite updates (see _rewrite_window).
-    Rerunning the same delete is a no-op.
+    Rerunning the same delete is a no-op: when every matched doc is
+    already tombstoned and no re-encode debt is unpaid, the window is not
+    opened at all (``reencode_mode: "none"``).  A crashed delete's rerun
+    still opens it, because its debt is still recorded.
     """
     cfg, stored_tok, state, m = _begin_maintenance(
         build_dir, "delete_docs", ["delete-keys"]
     )
     key_set = pa.array([f"{r}\x00{p}" for r, p in keys], pa.string())
     matched, dead_buckets = _probe_keys(state, cfg.n_buckets, key_set)
-    _rewrite_window(state, cfg, stored_tok, m, matched, dead_buckets)
+    if (
+        _read_reencode_debt(build_dir)[0] == set()
+        and state.read_manifest("segments") is not None
+        and not np.setdiff1d(matched, _read_tombstones(build_dir)).size
+    ):
+        m.metrics["reencode_mode"] = "none"
+    else:
+        _rewrite_window(state, cfg, stored_tok, m, matched, dead_buckets)
     m.rows_out = m.metrics["deleted_docs"] = int(matched.size)
     state.commit(m)
     return state

@@ -179,7 +179,7 @@ def write_training_shards(
     from ray.data.aggregate import Max, Min, Sum
 
     from .ops_text import clean_chunks
-    from .util import drop_empty_blocks, join_partitions
+    from .util import join
 
     tmp = out_dir + ".tmp"
     shutil.rmtree(tmp, ignore_errors=True)
@@ -195,14 +195,8 @@ def write_training_shards(
     )
     doc_shards, total_chars = _assign_doc_shards(chunks, target_chars)
 
-    sharded = drop_empty_blocks(
-        chunks.join(
-            doc_shards,
-            join_type="inner",
-            num_partitions=join_partitions(chunks, doc_shards),
-            on=("doc_id",),
-            right_on=("doc_id",),
-        ),
+    sharded = join(
+        chunks, doc_shards, ("doc_id",), "inner",
         pa.schema(
             [
                 ("doc_id", pa.int64()),

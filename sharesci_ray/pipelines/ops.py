@@ -30,7 +30,7 @@ import pyarrow.compute as pc
 from ..functions import topk as tk
 from ..functions.text import SQL_TOKENIZE, flat_tokens, tokenize
 from ..sources.corpus import documents_as_corpus, read_table
-from .util import join_partitions
+from .util import join
 
 REGISTRY: dict[str, Callable[[str], Any]] = {}
 # values are SQL strings, or zero-arg callables producing one (deferred:
@@ -383,7 +383,7 @@ def _bm25_run(sf_dir: str, facet_lang: str | None = None, scorer: str = "bmw"):
     DOC_QUERIES (optionally restricted to a lang facet) → remap engine ids
     back to the original documents.doc_id (the adapter's zero-padded
     ``path`` carries it, and makes engine-id order == numeric id order so
-    tie-breaks agree with the SQL oracle).  The remap is a Dataset.join of
+    tie-breaks agree with the SQL oracle).  The remap is a util.join of
     the (k·|queries|)-row result against the docvec checkpoint — nothing
     corpus-sized ever reaches the driver; the lang facet set is likewise
     derived inside each scorer actor (run_queries facet hook).  Scores are
@@ -393,7 +393,6 @@ def _bm25_run(sf_dir: str, facet_lang: str | None = None, scorer: str = "bmw"):
     import ray.data
 
     from .query import run_queries
-    from .util import drop_empty_blocks
 
     build_dir = _index_for(sf_dir)
 
@@ -415,40 +414,32 @@ def _bm25_run(sf_dir: str, facet_lang: str | None = None, scorer: str = "bmw"):
 
 def _remap_to_docids(res, build_dir: str):
     """Map engine result ids back to documents.doc_id (carried in the
-    adapter's zero-padded ``path``): a Dataset.join of the bounded
-    (k·|queries|)-row result against the docvec checkpoint — nothing
-    corpus-sized reaches the driver."""
+    adapter's zero-padded ``path``): a util.join of the bounded
+    (k·|queries|)-row result against the docvec checkpoint (the result is
+    the broadcast side) — nothing corpus-sized reaches the driver."""
     import ray.data
 
-    from .util import drop_empty_blocks
-
-    res = drop_empty_blocks(
-        res,
+    docvec = ray.data.read_parquet(
+        os.path.join(build_dir, "stage=docvec"), columns=["doc_id", "path"]
+    )
+    joined = join(
+        res, docvec, ("doc_id",), "inner",
         pa.schema(
             [
                 ("query_id", pa.int64()),
                 ("rank", pa.int32()),
                 ("doc_id", pa.int64()),
                 ("score", pa.float64()),
+                ("path", pa.string()),
             ]
         ),
     )
-    docvec = ray.data.read_parquet(
-        os.path.join(build_dir, "stage=docvec"), columns=["doc_id", "path"]
-    )
-    _jp = join_partitions(res, docvec)
-    joined = res.join(docvec, join_type="inner", num_partitions=_jp, on=("doc_id",))
 
     _REMAP_SCHEMA = pa.schema(
         [("query_id", pa.int64()), ("rank", pa.int64()), ("doc_id", pa.int64())]
     )
 
     def remap(batch: pa.Table) -> pa.Table:
-        # the join operator emits schema-less 0-row partitions for empty key
-        # ranges (ADVICE r2) — a KeyError here would be key-distribution-
-        # dependent, so guard explicitly
-        if batch.num_rows == 0:
-            return _REMAP_SCHEMA.empty_table()
         return pa.table(
             {
                 "query_id": batch["query_id"],
@@ -666,14 +657,19 @@ def grouped_agg_lineitem(sf_dir: str):
     """,
 )
 def join_orders_customer(sf_dir: str):
-    """J2: native hash join (Dataset.join) + grouped aggregate."""
+    """J2: equi-join (util.join: broadcast under the cap, else a native
+    hash join) + grouped aggregate."""
     from ray.data.aggregate import Count, Sum
 
     orders = read_table(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
     cust = read_table(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
-    _jp = join_partitions(orders, cust)
-    joined = orders.join(
-        cust, join_type="inner", num_partitions=_jp, on=("o_custkey",), right_on=("c_custkey",)
+    joined = join(
+        orders, cust, ("o_custkey",), "inner",
+        pa.schema(
+            [("o_custkey", pa.int64()), ("o_totalprice", pa.float64()),
+             ("c_mktsegment", pa.string())]
+        ),
+        right_on=("c_custkey",),
     )
 
     def partial(t: pa.Table) -> pa.Table:
@@ -725,15 +721,12 @@ def broadcast_join_nation_region(sf_dir: str):
     "SELECT c_custkey FROM customer WHERE c_custkey IN (SELECT o_custkey FROM orders)",
 )
 def semi_join_customers(sf_dir: str):
-    """J3 semi: native left_semi join."""
+    """J3 semi: left_semi util.join (the orders key column is broadcast)."""
     cust = read_table(sf_dir, "customer", columns=["c_custkey"])
     orders = read_table(sf_dir, "orders", columns=["o_custkey"])
-    return cust.join(
-        orders,
-        join_type="left_semi",
-        num_partitions=join_partitions(cust, orders),
-        on=("c_custkey",),
-        right_on=("o_custkey",),
+    return join(
+        cust, orders, ("c_custkey",), "left_semi",
+        pa.schema([("c_custkey", pa.int64())]), right_on=("o_custkey",),
     )
 
 
@@ -935,12 +928,16 @@ def _bm25_meta_sql() -> str:
 def bm25_topk_meta(sf_dir: str):
     """Flagship + J2 composition: BM25 top-k results hash-joined back to
     document metadata (the 'return the matching files' step a search user
-    actually sees).  Join is a native Dataset.join on doc_id — the scale
-    shape for a result set too big to broadcast."""
+    actually sees).  util.join on doc_id: the result set is broadcast
+    while it is under the cap, hash-joined once it is not."""
     res = bm25_topk(sf_dir)
     meta = read_table(sf_dir, "documents", columns=["doc_id", "lang", "source"])
-    joined = res.join(
-        meta, join_type="inner", num_partitions=join_partitions(res, meta), on=("doc_id",)
+    joined = join(
+        res, meta, ("doc_id",), "inner",
+        pa.schema(
+            [("query_id", pa.int64()), ("rank", pa.int64()), ("doc_id", pa.int64()),
+             ("lang", pa.string()), ("source", pa.string())]
+        ),
     )
     return joined.select_columns(["query_id", "rank", "doc_id", "lang", "source"])
 
@@ -990,7 +987,7 @@ def tfidf_cosine_topk(sf_dir: str):
 
     Scale shape (nothing corpus-sized touches the driver):
       * per-term df lives as a DATASET and reaches the tf rows via a
-        distributed hash join on term (J2);
+        util.join on term (J2);
       * per-doc norms are a dataset joined onto the numerators by doc_id;
       * only the ≤|query-vocab| idf entries are broadcast (bounded by the
         query set, not the corpus).
@@ -1002,7 +999,6 @@ def tfidf_cosine_topk(sf_dir: str):
     import ray
 
     from ..functions.text import flat_tokens
-    from .util import drop_empty_blocks
 
     docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
     n_docs = docs.count()
@@ -1028,14 +1024,16 @@ def tfidf_cosine_topk(sf_dir: str):
     ).materialize()  # consumed by df, norms and scores below
 
     # ---- per-term df as a dataset (vocab-sized, stays distributed) --------
-    dfc = drop_empty_blocks(
-        tf_mat.groupby("term").count(),
-        pa.schema([("term", pa.string()), ("count()", pa.int64())]),
-    )
+    # two consumers: the norms join and the query-term idfs
+    dfc = tf_mat.groupby("term").count().materialize()
 
     # ---- per-doc norms: tf ⋈ df on term (J2), then per-doc sum ------------
-    w_rows = tf_mat.join(
-        dfc, join_type="inner", num_partitions=join_partitions(tf_mat, dfc), on=("term",)
+    w_rows = join(
+        tf_mat, dfc, ("term",), "inner",
+        pa.schema(
+            [("doc_id", pa.int64()), ("term", pa.string()), ("tf", pa.int64()),
+             ("count()", pa.int64())]
+        ),
     )
 
     def wsq_partial(batch: pa.Table) -> pa.Table:
@@ -1048,11 +1046,10 @@ def tfidf_cosine_topk(sf_dir: str):
         g = t.group_by("doc_id").aggregate([("wsq", "sum")])
         return g.rename_columns(["doc_id", "wsq"])
 
-    norms2 = drop_empty_blocks(
+    norms2 = (
         w_rows.map_batches(wsq_partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("doc_id")
-        .sum("wsq"),
-        pa.schema([("doc_id", pa.int64()), ("sum(wsq)", pa.float64())]),
+        .sum("wsq")
     )
 
     # ---- query-term idfs: bounded by the query vocab, broadcast ----------
@@ -1121,11 +1118,8 @@ def tfidf_cosine_topk(sf_dir: str):
     # batch_size=None: feed WHOLE blocks — a doc's tf rows live in one
     # tf_rows output block and must not be re-batched apart (the whole-doc
     # single-batch numerator accumulation depends on it)
-    nums = drop_empty_blocks(
-        tf_mat.map_batches(
-            numerators, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
-        ),
-        _NUM_SCHEMA,
+    nums = tf_mat.map_batches(
+        numerators, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
     )
     # safety re-aggregation (ADVICE r2): Ray's dynamic block splitting
     # (target_max_block_size) can in principle split a tf_rows output block
@@ -1134,12 +1128,7 @@ def tfidf_cosine_topk(sf_dir: str):
     # holds (one row per key, so the float value is untouched); when it
     # doesn't, it repairs the ranking at the cost of a last-ulp summation-
     # order difference for the affected doc only.
-    nums = drop_empty_blocks(
-        nums.groupby(["query_id", "doc_id"]).sum("num"),
-        pa.schema(
-            [("query_id", pa.int64()), ("doc_id", pa.int64()), ("sum(num)", pa.float64())]
-        ),
-    ).map_batches(
+    nums = nums.groupby(["query_id", "doc_id"]).sum("num").map_batches(
         lambda t: pa.table(
             {"query_id": t["query_id"], "doc_id": t["doc_id"], "num": t["sum(num)"]}
         ),
@@ -1147,12 +1136,13 @@ def tfidf_cosine_topk(sf_dir: str):
         zero_copy_batch=True,
     )
 
-    # ---- attach norms by hash join, rank per query ------------------------
-    joined = nums.join(
-        norms2,
-        join_type="inner",
-        num_partitions=join_partitions(nums, norms2),
-        on=("doc_id",),
+    # ---- attach norms by util.join, rank per query -----------------------
+    joined = join(
+        nums, norms2, ("doc_id",), "inner",
+        pa.schema(
+            [("query_id", pa.int64()), ("doc_id", pa.int64()), ("num", pa.float64()),
+             ("sum(wsq)", pa.float64())]
+        ),
     )
 
     ranked = pa.schema(

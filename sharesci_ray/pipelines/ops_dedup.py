@@ -33,7 +33,7 @@ from ..functions import vectors as vx
 from ..functions.text import SQL_TOKENIZE, flat_tokens
 from ..sources.corpus import read_table
 from .ops import op
-from .util import join_partitions
+from .util import join
 
 _TOKS = SQL_TOKENIZE.format(col="text")
 _H60_S = dd.SQL_H60.format(s="s")
@@ -276,7 +276,7 @@ def near_dup_jaccard(sf_dir: str, cap: int = dd.SHINGLE_DF_CAP):
 
     Inverted-index pair generation: distinct (doc, shingle-hash) rows group
     by hash; each group emits its doc pairs; pair counts = intersection
-    sizes; per-doc set sizes attach via distributed hash join (J2).
+    sizes; per-doc set sizes attach via util.join (J2).
     """
     import ray
 
@@ -400,45 +400,20 @@ def near_dup_jaccard(sf_dir: str, cap: int = dd.SHINGLE_DF_CAP):
         .groupby("pfold")
         .map_groups(count_bucket, batch_format="pyarrow")
     )  # (doc_a, doc_b, count() = intersection; one emit per shared h31)
-    # sparse-keyed shuffles emit schema-less empty blocks that crash the
-    # joins below (see util.drop_empty_blocks)
-    pair_counts = drop_empty_blocks(
-        pair_counts,
-        pa.schema(
-            [("doc_a", pa.int64()), ("doc_b", pa.int64()), ("count()", pa.int64())]
-        ),
-    )
 
     _J_OUT = pa.schema(
         [("doc_a", pa.int64()), ("doc_b", pa.int64()), ("inter", pa.int64()),
          ("union_sz", pa.int64()), ("jaccard", pa.float64())]
     )
-    if pair_counts.count() == 0:
-        # zero-pair regime: Ray 2.49's hash join crashes on a 0-row side
-        import ray.data as _rd
-
-        return _rd.from_arrow(_J_OUT.empty_table())
     sz_a = sizes.map_batches(
         lambda t: t.rename_columns(["doc_a", "n_a"]), batch_format="pyarrow"
     )
     sz_b = sizes.map_batches(
         lambda t: t.rename_columns(["doc_b", "n_b"]), batch_format="pyarrow"
     )
-    _jp = join_partitions(pair_counts, sizes)
-    j = pair_counts.join(sz_a, join_type="inner", num_partitions=_jp, on=("doc_a",))
-    # the join operator itself emits schema-less empty partitions too
-    j = drop_empty_blocks(
-        j,
-        pa.schema(
-            [
-                ("doc_a", pa.int64()),
-                ("doc_b", pa.int64()),
-                ("count()", pa.int64()),
-                ("n_a", pa.int64()),
-            ]
-        ),
-    )
-    j = j.join(sz_b, join_type="inner", num_partitions=_jp, on=("doc_b",))
+    _PC_A = _PC_SCHEMA.append(pa.field("n_a", pa.int64()))
+    j = join(pair_counts, sz_a, ("doc_a",), "inner", _PC_A)
+    j = join(j, sz_b, ("doc_b",), "inner", _PC_A.append(pa.field("n_b", pa.int64())))
 
     def finalize(t: pa.Table) -> pa.Table:
         inter = pc.cast(t["count()"], pa.int64())
@@ -528,12 +503,6 @@ def _connected_components(pairs, max_rounds: int = 64):
     """
     from ray.data.aggregate import Min, Sum
 
-    from .util import drop_empty_blocks
-
-    pairs = drop_empty_blocks(
-        pairs, pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64())])
-    )
-
     def both_dirs(t: pa.Table) -> pa.Table:
         u = pa.concat_arrays(
             [t["doc_a"].combine_chunks(), t["doc_b"].combine_chunks()]
@@ -546,15 +515,6 @@ def _connected_components(pairs, max_rounds: int = 64):
     edges = pairs.map_batches(
         both_dirs, batch_format="pyarrow", zero_copy_batch=True
     ).materialize()
-    if edges.count() == 0:
-        # zero-pair regime (a corpus slice with no near-dups): every node
-        # is a singleton — no labels to propagate, and Ray 2.49's hash
-        # join would crash on the 0-row side (sf-synth sweep, r5)
-        import ray.data as _rd
-
-        return _rd.from_arrow(
-            pa.schema([("u", pa.int64()), ("label", pa.int64())]).empty_table()
-        )
 
     # label(u) starts at min(u, min neighbor)
     def self_edge(t: pa.Table) -> pa.Table:
@@ -565,11 +525,10 @@ def _connected_components(pairs, max_rounds: int = 64):
             }
         )
 
-    labels = drop_empty_blocks(
+    labels = (
         edges.map_batches(self_edge, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("u")
-        .aggregate(Min("label")),
-        pa.schema([("u", pa.int64()), ("min(label)", pa.int64())]),
+        .aggregate(Min("label"))
     ).map_batches(
         lambda t: t.rename_columns(["u", "label"]), batch_format="pyarrow"
     ).materialize()
@@ -585,15 +544,9 @@ def _connected_components(pairs, max_rounds: int = 64):
         lab_v = labels.map_batches(
             lambda t: t.rename_columns(["v", "vlabel"]), batch_format="pyarrow"
         )
-        cand = edges.join(
-            lab_v,
-            join_type="inner",
-            num_partitions=join_partitions(edges, labels),
-            on=("v",),
-        )
-        cand = drop_empty_blocks(
-            cand,
-            pa.schema([("v", pa.int64()), ("u", pa.int64()), ("vlabel", pa.int64())]),
+        cand = join(
+            edges, lab_v, ("v",), "inner",
+            pa.schema([("u", pa.int64()), ("v", pa.int64()), ("vlabel", pa.int64())]),
         )
         merged = (
             cand.select_columns(["u", "vlabel"])
@@ -604,9 +557,7 @@ def _connected_components(pairs, max_rounds: int = 64):
             .groupby("u")
             .aggregate(Min("label"))
         )
-        labels = drop_empty_blocks(
-            merged, pa.schema([("u", pa.int64()), ("min(label)", pa.int64())])
-        ).map_batches(
+        labels = merged.map_batches(
             lambda t: t.rename_columns(["u", "label"]), batch_format="pyarrow"
         )
 
@@ -622,18 +573,12 @@ def _connected_components(pairs, max_rounds: int = 64):
             ),
             batch_format="pyarrow",
         )
-        jumped = labels.join(
-            lab_l,
-            join_type="left_outer",
-            num_partitions=join_partitions(labels, labels),
-            on=("label",),
-            right_on=("lu",),
-        )
-        jumped = drop_empty_blocks(
-            jumped,
+        jumped = join(
+            labels, lab_l, ("label",), "left_outer",
             pa.schema(
-                [("label", pa.int64()), ("u", pa.int64()), ("llabel", pa.int64())]
+                [("u", pa.int64()), ("label", pa.int64()), ("llabel", pa.int64())]
             ),
+            right_on=("lu",),
         )
         labels = jumped.map_batches(
             lambda t: pa.table(
@@ -677,31 +622,17 @@ def dedup_cluster(sf_dir: str):
     bound); this op wires it to the near_dup_jaccard edge set and fills
     singletons from the documents table.
     """
-    from .util import drop_empty_blocks
-
     pairs = near_dup_jaccard(sf_dir).select_columns(["doc_a", "doc_b"])
     labels = _connected_components(pairs)
 
     docs = read_table(sf_dir, "documents", columns=["doc_id"])
-    if labels.materialize().count() == 0:
-        # zero-pair regime: every document is its own cluster (the join
-        # below would crash on the 0-row side in Ray 2.49)
-        return docs.map_batches(
-            lambda t: pa.table(
-                {"doc_id": t["doc_id"],
-                 "cluster_id": pc.cast(t["doc_id"], pa.int64())}
-            ),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
     lab = labels.map_batches(
         lambda t: t.rename_columns(["doc_id", "cluster_id"]), batch_format="pyarrow"
     )
-    joined = docs.join(
-        lab,
-        join_type="left_outer",
-        num_partitions=join_partitions(docs, labels),
-        on=("doc_id",),
+    # zero pairs: no labels, and every document is its own cluster
+    joined = join(
+        docs, lab, ("doc_id",), "left_outer",
+        pa.schema([("doc_id", pa.int64()), ("cluster_id", pa.int64())]),
     )
 
     def fill(t: pa.Table) -> pa.Table:
@@ -1316,9 +1247,9 @@ def near_dup_embedding(sf_dir: str, exact_scan: bool = False):
     rule prunes (clustered corpora: est_pairs « n²), the linear LSH-first
     plan runs: expansion emits (planes+1)·tables bounded-int rows per
     vector; pair emission is the same fold-bucketed map_groups as
-    dedup_minhash_lsh; dedup + the two verify joins are linear hash
-    shuffles sized by join_partitions; verify loads only candidate rows'
-    vectors.  Where it does NOT prune (near-uniform data: candidates a
+    dedup_minhash_lsh; dedup + the two verify joins are util.joins
+    (hash shuffles once the vectors exceed the broadcast cap); verify loads
+    only candidate rows' vectors.  Where it does NOT prune (near-uniform data: candidates a
     constant fraction of all pairs, quadratic in n because the bucket space
     is FIXED), the gate flips to verify-first — a blocked exact-cosine scan
     with the candidate rule as a post-filter on threshold survivors — which
@@ -1331,8 +1262,6 @@ def near_dup_embedding(sf_dir: str, exact_scan: bool = False):
     """
     if exact_scan:
         return _near_dup_embedding_scan(sf_dir)
-
-    from .util import drop_empty_blocks, join_partitions
 
     emb = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
 
@@ -1443,7 +1372,7 @@ def near_dup_embedding(sf_dir: str, exact_scan: bool = False):
         .rename_columns({"doc_a": "vec_a", "doc_b": "vec_b"})
     )
 
-    # normalized vectors packed as fixed_size_binary: acero (Dataset.join)
+    # normalized vectors packed as fixed_size_binary: acero (every util.join path)
     # rejects list<double> payload columns, and the fixed-width buffer
     # decodes back to a (n, dim) matrix with one zero-copy frombuffer
     dim = _LSH_DIM
@@ -1463,33 +1392,20 @@ def near_dup_embedding(sf_dir: str, exact_scan: bool = False):
         return raw[col.offset * dim : (col.offset + len(col)) * dim].reshape(-1, dim)
 
     norm = emb.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
-    _CAND_SCHEMA = pa.schema([("vec_a", pa.int64()), ("vec_b", pa.int64())])
-    cand = drop_empty_blocks(cand, _CAND_SCHEMA)
-    nparts = join_partitions(cand, norm)
-    j1 = drop_empty_blocks(
-        cand.join(
-            norm,
-            join_type="inner",
-            num_partitions=nparts,
-            on=("vec_a",),
-            right_on=("vec_id",),
-        ),
+    j1 = join(
+        cand, norm, ("vec_a",), "inner",
         pa.schema(
             [("vec_a", pa.int64()), ("vec_b", pa.int64()), ("embedding", _BIN)]
         ),
+        right_on=("vec_id",),
     ).rename_columns({"embedding": "emb_a"})
-    j2 = drop_empty_blocks(
-        j1.join(
-            norm,
-            join_type="inner",
-            num_partitions=nparts,
-            on=("vec_b",),
-            right_on=("vec_id",),
-        ),
+    j2 = join(
+        j1, norm, ("vec_b",), "inner",
         pa.schema(
             [("vec_a", pa.int64()), ("vec_b", pa.int64()),
              ("emb_a", _BIN), ("embedding", _BIN)]
         ),
+        right_on=("vec_id",),
     )
 
     _OUT_SCHEMA = pa.schema([("vec_a", pa.int64()), ("vec_b", pa.int64())])
@@ -1866,13 +1782,13 @@ def clean_corpus(sf_dir: str):
     back on the hash (the dedup_exact shape); near-dup representatives
     come from dedup_cluster's distributed label propagation; the quality
     gate is clean_chunks' integer-exact vectorized predicates fused into
-    the same pass that hashes.  Two native hash joins with scale-adaptive
-    partitions; nothing corpus-sized reaches the driver.
+    the same pass that hashes.  Two util.joins (a side under the broadcast
+    cap is broadcast, else hash-joined); nothing corpus-sized reaches the
+    driver.
     """
     from ray.data.aggregate import Min
 
     from ..functions.text import flat_tokens
-    from .util import drop_empty_blocks, join_partitions
 
     docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
 
@@ -1935,42 +1851,30 @@ def clean_corpus(sf_dir: str):
         .groupby("h")
         .aggregate(Min("doc_id"))
     )
-    firsts = drop_empty_blocks(
-        firsts, pa.schema([("h", pa.string()), ("min(doc_id)", pa.int64())])
-    ).map_batches(
+    firsts = firsts.map_batches(
         lambda t: t.rename_columns(["h2", "first_id"]), batch_format="pyarrow"
     )
 
-    with_first = drop_empty_blocks(
-        gated.join(
-            firsts,
-            join_type="inner",
-            num_partitions=join_partitions(gated, firsts),
-            on=("h",),
-            right_on=("h2",),
-        ),
+    with_first = join(
+        gated, firsts, ("h",), "inner",
         pa.schema(
             [("doc_id", pa.int64()), ("h", pa.string()), ("ok", pa.int64()),
              ("h2", pa.string()), ("first_id", pa.int64())]
         ),
+        right_on=("h2",),
     ).select_columns(["doc_id", "ok", "first_id"])
 
     labels = dedup_cluster(sf_dir).map_batches(
         lambda t: t.rename_columns(["doc_id2", "cluster_id"]),
         batch_format="pyarrow",
     )
-    full = drop_empty_blocks(
-        with_first.join(
-            labels,
-            join_type="inner",
-            num_partitions=join_partitions(with_first, labels),
-            on=("doc_id",),
-            right_on=("doc_id2",),
-        ),
+    full = join(
+        with_first, labels, ("doc_id",), "inner",
         pa.schema(
             [("doc_id", pa.int64()), ("ok", pa.int64()), ("first_id", pa.int64()),
              ("doc_id2", pa.int64()), ("cluster_id", pa.int64())]
         ),
+        right_on=("doc_id2",),
     )
 
     _OUT = pa.schema(
@@ -2027,10 +1931,10 @@ def cross_source_dup_pairs(sf_dir: str):
     as near_dup_jaccard.
 
     Scale shape: pair generation is near_dup_jaccard's df-capped inverted
-    index unchanged; the source labels attach via two native hash joins
-    of the (already small) pair set against the (doc_id, source)
+    index unchanged; the source labels attach via two util.joins
+    of the (already small, so broadcast) pair set against the (doc_id, source)
     projection; the cross-source filter is one vectorized mask."""
-    from .util import drop_empty_blocks, join_partitions
+    from .util import drop_empty_blocks
 
     pairs = near_dup_jaccard(sf_dir)
     docs = read_table(sf_dir, "documents", columns=["doc_id", "source"])
@@ -2039,26 +1943,18 @@ def cross_source_dup_pairs(sf_dir: str):
         [("doc_a", pa.int64()), ("doc_b", pa.int64()), ("inter", pa.int64()),
          ("union_sz", pa.int64()), ("jaccard", pa.float64())]
     )
-    pairs = drop_empty_blocks(pairs, _PAIR_SCHEMA)
     _OUT = pa.schema(
         [("doc_a", pa.int64()), ("doc_b", pa.int64()),
          ("source_a", pa.string()), ("source_b", pa.string()),
          ("jaccard", pa.float64())]
     )
-    if pairs.count() == 0:
-        return _OUT.empty_table()
 
-    j1 = drop_empty_blocks(
-        pairs.join(
-            docs,
-            join_type="inner",
-            num_partitions=join_partitions(pairs, docs),
-            on=("doc_a",),
-            right_on=("doc_id",),
-        ),
+    j1 = join(
+        pairs, docs, ("doc_a",), "inner",
         pa.schema(
             list(_PAIR_SCHEMA) + [("source", pa.string())]
         ),
+        right_on=("doc_id",),
     )
 
     def tag_a(t: pa.Table) -> pa.Table:
@@ -2074,19 +1970,14 @@ def cross_source_dup_pairs(sf_dir: str):
 
     j1 = j1.map_batches(tag_a, batch_format="pyarrow", zero_copy_batch=True)
 
-    j2 = drop_empty_blocks(
-        j1.join(
-            docs,
-            join_type="inner",
-            num_partitions=join_partitions(j1, docs),
-            on=("doc_b",),
-            right_on=("doc_id",),
-        ),
+    j2 = join(
+        j1, docs, ("doc_b",), "inner",
         pa.schema(
             [("doc_a", pa.int64()), ("doc_b", pa.int64()),
              ("jaccard", pa.float64()), ("source_a", pa.string()),
              ("source", pa.string())]
         ),
+        right_on=("doc_id",),
     )
 
     def finish(t: pa.Table) -> pa.Table:
@@ -2104,7 +1995,10 @@ def cross_source_dup_pairs(sf_dir: str):
             schema=_OUT,
         )
 
-    return j2.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
+    # heal: a zero-pair corpus must still present the output columns
+    return drop_empty_blocks(
+        j2.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True), _OUT
+    )
 
 
 # ===========================================================================
@@ -2291,8 +2185,8 @@ def dedup_spans(sf_dir: str):
     partials → one vocabulary-sized groupby (docs live in exactly one
     batch, so batch distincts sum to global df; the hot_ngram_report
     rule).  The duplicated-gram set is corpus-proportional, so it is
-    JOINED against the window stream (hash join keyed on gram), never
-    broadcast; hot grams pass through the join without per-group compute.
+    JOINED against the window stream (util.join keyed on gram; broadcast
+    only while it is under the cap); hot grams pass through the join without per-group compute.
     Duplicated-window starts fold to ≤1 row per (document, block) in ONE
     vectorized call per block (sort + ListArray offsets + binary_join);
     the per-document merge that follows is O(1)-work string concatenation
@@ -2331,33 +2225,18 @@ def dedup_spans(sf_dir: str):
         keep = t.filter(pc.greater_equal(t["sum(nd)"], 2))
         return keep.select(["gh"])
 
-    from .util import drop_empty_blocks
-
-    # drop_empty_blocks: sparse-keyed shuffles emit schema-less 0-row
-    # blocks that kill the downstream joins (see util.py) — both join
-    # right sides are healed; only block refs pass through the driver
-    dupg = drop_empty_blocks(
+    dupg = (
         docs.map_batches(df_partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("gh")
         .aggregate(Sum("nd"))
-        .map_batches(only_dup, batch_format="pyarrow", zero_copy_batch=True),
-        pa.schema([("gh", pa.int64())]),
+        .map_batches(only_dup, batch_format="pyarrow", zero_copy_batch=True)
     )
-
-    # zero-dup regime (no 5-gram appears in ≥2 docs): Ray 2.49's hash
-    # join crashes when a side is all-empty even with a typed schema, so
-    # both joins are skipped — every doc keeps its full text.  count()
-    # is metadata-only: dupg is already materialized refs (sf-synth
-    # sweep, r5).
-    zero_dup = dupg.count() == 0
-    if not zero_dup:
-        wins = docs.map_batches(
-            _span_windows, batch_format="pyarrow", zero_copy_batch=True
-        )
-        _jp = join_partitions(wins)
-        dupwins = wins.join(
-            dupg, join_type="inner", num_partitions=_jp, on=("gh",)
-        )
+    # zero-dup regime (no 5-gram in ≥2 docs): no dupwins, no cov rows, and
+    # the left_outer join below keeps every doc with its full text
+    dupwins = join(
+        docs.map_batches(_span_windows, batch_format="pyarrow", zero_copy_batch=True),
+        dupg, ("gh",), "inner", _SPAN_WIN,
+    )
 
     def fold_starts(t: pa.Table) -> pa.Table:
         # ONE vectorized call per BLOCK (review finding r4: the previous
@@ -2394,26 +2273,15 @@ def dedup_spans(sf_dir: str):
             schema=_SPAN_COV,
         )
 
-    if zero_dup:
-        joined = docs.map_batches(
-            lambda t: t.append_column(
-                "cov", pa.array([None] * t.num_rows, pa.string())
-            ),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-    else:
-        cov = drop_empty_blocks(
-            dupwins.map_batches(
-                fold_starts, batch_format="pyarrow", zero_copy_batch=True
-            )
-            .groupby("doc_id")
-            .map_groups(merge_covs, batch_format="pyarrow"),
-            _SPAN_COV,
-        )
-        joined = docs.join(
-            cov, join_type="left_outer", num_partitions=_jp, on=("doc_id",)
-        )
+    cov = (
+        dupwins.map_batches(fold_starts, batch_format="pyarrow", zero_copy_batch=True)
+        .groupby("doc_id")
+        .map_groups(merge_covs, batch_format="pyarrow")
+    )
+    joined = join(
+        docs, cov, ("doc_id",), "left_outer",
+        pa.schema([("doc_id", pa.int64()), ("text", pa.string()), ("cov", pa.string())]),
+    )
 
     def finalize(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:

@@ -2206,12 +2206,15 @@ def cluster_top_terms(sf_dir: str):
         for r in asg.groupby("cluster_id").count().take_all()  # ≤ K rows
     }
 
-    from .util import join_partitions
+    from .util import join
 
     docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-    _jp = join_partitions(docs)
-    labeled = docs.join(asg, join_type="inner", num_partitions=_jp,
-                        on=("doc_id",))
+    labeled = join(
+        docs, asg, ("doc_id",), "inner",
+        pa.schema(
+            [("doc_id", pa.int64()), ("text", pa.string()), ("cluster_id", pa.int64())]
+        ),
+    )
 
     def term_partial(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:

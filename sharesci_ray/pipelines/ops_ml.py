@@ -48,6 +48,7 @@ from ..functions import topk as tk
 from ..functions import vectors as vx
 from ..sources.corpus import read_table
 from .ops import _cents, op
+from .util import join
 
 # ---------------------------------------------------------------------------
 # kmeans_embeddings — iterative Lloyd's k-means, integer-exact both sides
@@ -373,21 +374,15 @@ def split_by_cluster(sf_dir: str):
 def export_split_corpus(sf_dir: str, out_dir: str) -> dict:
     """Write the corpus hive-partitioned by the leakage-safe split
     (``split=train/ split=valid/ split=test/``) — the artifact a training
-    run actually consumes.  One native hash join carries only doc ids and
+    run actually consumes.  One util.join carries only doc ids and
     labels; the text column rides the documents scan, never the shuffle.
     Returns {split: n_docs} for the CLI.  Partitioned output means a
     failed run resumes by re-writing only the missing partition."""
-    from .util import drop_empty_blocks, join_partitions
-
     docs = read_table(sf_dir, "documents",
                       columns=["doc_id", "text", "lang", "source"])
     labels = split_by_cluster(sf_dir)
-    joined = drop_empty_blocks(
-        docs.join(
-            labels, join_type="inner",
-            num_partitions=join_partitions(docs, labels),
-            on=("doc_id",),
-        ),
+    joined = join(
+        docs, labels, ("doc_id",), "inner",
         pa.schema(
             [("doc_id", pa.int64()), ("text", pa.string()),
              ("lang", pa.string()), ("source", pa.string()),
@@ -709,8 +704,8 @@ def label_propagation_knn(sf_dir: str):
     whose groups are ≤ k rows (one node's out-edges); the labeled_round
     tag is a (vec_id, round) groupby-min, never a driver pass.  Rounds are
     a fixed constant, so the whole plan is a static dataflow."""
-    from .ops_embed import knn_graph_ivf  # lazy: op modules never import
-    from .util import drop_empty_blocks, join_partitions  # each other at module level
+    # lazy: op modules never import each other at module level
+    from .ops_embed import knn_graph_ivf
 
     _LAB = pa.schema([("vec_id", pa.int64()), ("label", pa.int64())])
 
@@ -754,19 +749,17 @@ def label_propagation_knn(sf_dir: str):
         )
 
     def lp_round(labels):
-        joined = edges.join(
-            labels,
-            join_type="inner",
-            num_partitions=join_partitions(edges, labels),
-            on=("neighbor_id",),
+        joined = join(
+            edges, labels, ("neighbor_id",), "inner",
+            pa.schema(
+                [("query_id", pa.int64()), ("neighbor_id", pa.int64()),
+                 ("label", pa.int64())]
+            ),
             right_on=("vec_id",),
         ).map_batches(
             lambda t: t.select(["query_id", "label"]),
             batch_format="pyarrow",
             zero_copy_batch=True,
-        )
-        joined = drop_empty_blocks(
-            joined, pa.schema([("query_id", pa.int64()), ("label", pa.int64())])
         )
         return joined.groupby("query_id").map_groups(
             majority, batch_format="pyarrow"
@@ -792,13 +785,8 @@ def label_propagation_knn(sf_dir: str):
     rounds = (
         tag(n1, 1).union(tag(n2, 2)).groupby("vec_id").min("labeled_round")
     )
-    non_seed = drop_empty_blocks(
-        n2.join(
-            rounds,
-            join_type="inner",
-            num_partitions=join_partitions(n2, rounds),
-            on=("vec_id",),
-        ),
+    non_seed = join(
+        n2, rounds, ("vec_id",), "inner",
         pa.schema(
             [("vec_id", pa.int64()), ("label", pa.int64()),
              ("min(labeled_round)", pa.int64())]
@@ -849,21 +837,14 @@ def label_propagation_accuracy(sf_dir: str):
     column-pruned (vec_id, label) truth stream, then per-batch partial
     (round, n, correct) triples into a ≤ 3-row groupby — nothing here is
     corpus-materializing."""
-    from .util import drop_empty_blocks, join_partitions
-
     lp = label_propagation_knn(sf_dir).map_batches(
         lambda t: t.rename_columns(["vec_id", "pred", "labeled_round"]),
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
     truth = read_table(sf_dir, "embeddings", columns=["vec_id", "label"])
-    joined = drop_empty_blocks(
-        lp.join(
-            truth,
-            join_type="inner",
-            num_partitions=join_partitions(lp, truth),
-            on=("vec_id",),
-        ),
+    joined = join(
+        lp, truth, ("vec_id",), "inner",
         pa.schema(
             [("vec_id", pa.int64()), ("pred", pa.int64()),
              ("labeled_round", pa.int64()),

@@ -35,6 +35,7 @@ from ..functions import topk as tk
 from ..functions.vectors import fdiv_sql as _fdiv_sql_q
 from ..sources.corpus import read_table
 from .ops import _cents, _rename, op
+from .util import join
 
 # ---------------------------------------------------------------------------
 # pii_scrub — regex redaction over events.props
@@ -302,15 +303,13 @@ def top_revenue_customers(sf_dir: str):
     — so no float summation or .5-rounding hazard anywhere.
 
     Scale shape: per-batch partial sums by l_orderkey shrink lineitem
-    before its only wide exchange; the orders join is a native hash join
-    (scale-adaptive partitions); the per-customer aggregate is partial+
+    before its only wide exchange; the orders join is a util.join (a
+    native hash join once neither side fits the broadcast cap); the per-customer aggregate is partial+
     final; the top-10 is a global sort-limit over the already-small
     per-customer table; and customer NAMES are attached to just the 10
     winners (a driver-side lookup of a bounded set — never a join against
     the full customer table)."""
     import ray
-
-    from .util import drop_empty_blocks, join_partitions
 
     li = read_table(
         sf_dir, "lineitem", columns=["l_orderkey", "l_extendedprice", "l_discount"]
@@ -335,18 +334,13 @@ def top_revenue_customers(sf_dir: str):
     per_order = _rename(per_order, {"sum(rev)": "rev"}, int64_cols=("rev",))
 
     orders = read_table(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
-    joined = drop_empty_blocks(
-        per_order.join(
-            orders,
-            join_type="inner",
-            num_partitions=join_partitions(per_order, orders),
-            on=("l_orderkey",),
-            right_on=("o_orderkey",),
-        ),
+    joined = join(
+        per_order, orders, ("l_orderkey",), "inner",
         pa.schema(
             [("l_orderkey", pa.int64()), ("rev", pa.int64()),
              ("o_orderkey", pa.int64()), ("o_custkey", pa.int64())]
         ),
+        right_on=("o_orderkey",),
     )
     per_cust = _rename(
         joined.groupby("o_custkey").sum("rev"), {"sum(rev)": "rev_e4"},
@@ -480,11 +474,10 @@ def revenue_by_nation(sf_dir: str):
     Scale shape: revenue is computed per lineitem row up front and the
     money columns dropped (projection hygiene); the three
     scale-proportional tables (lineitem, orders, customer, supplier) meet
-    in native hash joins with scale-adaptive partition counts; nation ⋈
+    in util.joins (hash joins past the broadcast cap); nation ⋈
     region (≤ a few hundred rows at any scale) collapses to a broadcast
     is_in filter + dict lookup — never a shuffle; the final aggregate is
     a partial+final groupby over ≤ n_nations keys."""
-    from .util import drop_empty_blocks, join_partitions
 
     # broadcast side: nation ⋈ region → allowed nationkeys + key→name map
     nations = read_table(sf_dir, "nation").take_all()      # ≤ 25 rows
@@ -522,33 +515,30 @@ def revenue_by_nation(sf_dir: str):
         [("l_orderkey", pa.int64()), ("l_suppkey", pa.int64()), ("rev", pa.int64()),
          ("o_orderkey", pa.int64()), ("o_custkey", pa.int64())]
     )
-    j1 = drop_empty_blocks(
-        li.join(orders, join_type="inner",
-                num_partitions=join_partitions(li, orders),
-                on=("l_orderkey",), right_on=("o_orderkey",)),
+    j1 = join(
+        li, orders, ("l_orderkey",), "inner",
         j1_schema,
+        right_on=("o_orderkey",),
     )
 
     cust = read_table(sf_dir, "customer", columns=["c_custkey", "c_nationkey"])
     j2_schema = j1_schema.append(pa.field("c_custkey", pa.int64())).append(
         pa.field("c_nationkey", pa.int32())
     )
-    j2 = drop_empty_blocks(
-        j1.join(cust, join_type="inner",
-                num_partitions=join_partitions(j1, cust),
-                on=("o_custkey",), right_on=("c_custkey",)),
+    j2 = join(
+        j1, cust, ("o_custkey",), "inner",
         j2_schema,
+        right_on=("c_custkey",),
     )
 
     sup = read_table(sf_dir, "supplier", columns=["s_suppkey", "s_nationkey"])
     j3_schema = j2_schema.append(pa.field("s_suppkey", pa.int64())).append(
         pa.field("s_nationkey", pa.int32())
     )
-    j3 = drop_empty_blocks(
-        j2.join(sup, join_type="inner",
-                num_partitions=join_partitions(j2, sup),
-                on=("l_suppkey",), right_on=("s_suppkey",)),
+    j3 = join(
+        j2, sup, ("l_suppkey",), "inner",
         j3_schema,
+        right_on=("s_suppkey",),
     )
 
     def local_in_region(t: pa.Table) -> pa.Table:
@@ -607,7 +597,6 @@ def order_priority_counts(sf_dir: str):
     join with scale-adaptive partitions (distinct keys → no fanout, an
     inner join IS the semi join); the count is a partial+final groupby
     over 5 keys."""
-    from .util import drop_empty_blocks, join_partitions
 
     li = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_returnflag"])
 
@@ -623,14 +612,13 @@ def order_priority_counts(sf_dir: str):
     )
 
     orders = read_table(sf_dir, "orders", columns=["o_orderkey", "o_orderpriority"])
-    joined = drop_empty_blocks(
-        orders.join(keys, join_type="inner",
-                    num_partitions=join_partitions(orders, keys),
-                    on=("o_orderkey",), right_on=("l_orderkey",)),
+    joined = join(
+        orders, keys, ("o_orderkey",), "inner",
         pa.schema(
             [("o_orderkey", pa.int64()), ("o_orderpriority", pa.string()),
              ("l_orderkey", pa.int64()), ("count()", pa.int64())]
         ),
+        right_on=("l_orderkey",),
     )
     return _rename(
         joined.groupby("o_orderpriority").count(), {"count()": "n_orders"},
@@ -813,9 +801,8 @@ def above_avg_orders(sf_dir: str):
     ``price_cents · n > sum_cents`` — bit-identical on both sides.
 
     Scale shape: per-customer (sum, count) via per-batch partials + one
-    small groupby; the correlated probe is a native hash join back against
+    small groupby; the correlated probe is a util.join back against
     orders (both sides scale-proportional) + a vectorized integer filter."""
-    from .util import drop_empty_blocks, join_partitions
 
     orders = read_table(sf_dir, "orders", columns=["o_orderkey", "o_custkey", "o_totalprice"])
 
@@ -856,15 +843,14 @@ def above_avg_orders(sf_dir: str):
         int64_cols=("sum_cents", "n"),
     )
 
-    joined = drop_empty_blocks(
-        oc.join(per_cust, join_type="inner",
-                num_partitions=join_partitions(oc, per_cust),
-                on=("o_custkey",), right_on=("cust",)),
+    joined = join(
+        oc, per_cust, ("o_custkey",), "inner",
         pa.schema(
             [("o_orderkey", pa.int64()), ("o_custkey", pa.int64()),
              ("price_cents", pa.int64()), ("cust", pa.int64()),
              ("sum_cents", pa.int64()), ("n", pa.int64())]
         ),
+        right_on=("cust",),
     )
 
     def probe(t: pa.Table) -> pa.Table:
@@ -920,7 +906,6 @@ def rich_inactive_customers(sf_dir: str):
     filter via a native join-free broadcast when small — here the distinct
     keyset is scale-proportional, so it ships as a Dataset and the anti
     join is a left join + null filter."""
-    from .util import drop_empty_blocks, join_partitions
 
     cust = read_table(sf_dir, "customer", columns=["c_custkey", "c_acctbal"])
 
@@ -966,14 +951,13 @@ def rich_inactive_customers(sf_dir: str):
 
     # left_outer join coalesces the right key into the left key column, so
     # right-side presence is read off the (nullable) count() payload
-    joined = drop_empty_blocks(
-        rich.join(holders, join_type="left_outer",
-                  num_partitions=join_partitions(rich, holders),
-                  on=("c_custkey",), right_on=("o_custkey",)),
+    joined = join(
+        rich, holders, ("c_custkey",), "left_outer",
         pa.schema(
             [("c_custkey", pa.int64()), ("acctbal_cents", pa.int64()),
              ("count()", pa.int64())]
         ),
+        right_on=("o_custkey",),
     )
 
     def anti(t: pa.Table) -> pa.Table:
@@ -1025,13 +1009,11 @@ def top_unshipped_orders(sf_dir: str):
     Scale shape: each table is filtered AT ITS SCAN (segment mask,
     order-date mask, ship-date mask) before anything wide happens;
     lineitem — the big table — is pre-aggregated per batch to one row per
-    orderkey before its only shuffle; both joins are native hash joins
-    with scale-adaptive partitions (the customer side is 1/5 of customers
-    — scale-proportional, NOT broadcastable); the final top-10 sorts the
+    orderkey before its only shuffle; both joins are util.joins (hash
+    joins past the broadcast cap; the customer side is 1/5 of customers
+    — scale-proportional, broadcast only while it is under the cap); the final top-10 sorts the
     already-small per-order revenue table."""
     import datetime as _dt
-
-    from .util import drop_empty_blocks, join_partitions
 
     cutoff = _dt.datetime.fromisoformat(_Q3_CUTOFF)
 
@@ -1050,18 +1032,13 @@ def top_unshipped_orders(sf_dir: str):
     orders = orders.map_batches(
         before_cutoff, batch_format="pyarrow", zero_copy_batch=True
     )
-    qual = drop_empty_blocks(
-        orders.join(
-            bld,
-            join_type="inner",
-            num_partitions=join_partitions(orders, bld),
-            on=("o_custkey",),
-            right_on=("c_custkey",),
-        ),
+    qual = join(
+        orders, bld, ("o_custkey",), "inner",
         pa.schema(
             [("o_orderkey", pa.int64()), ("o_custkey", pa.int64()),
              ("o_orderdate", pa.timestamp("us")), ("c_custkey", pa.int64())]
         ),
+        right_on=("c_custkey",),
     ).select_columns(["o_orderkey", "o_orderdate"])
 
     li = read_table(
@@ -1095,18 +1072,13 @@ def top_unshipped_orders(sf_dir: str):
         int64_cols=("rev_e4",),
     )
 
-    res = drop_empty_blocks(
-        per_order.join(
-            qual,
-            join_type="inner",
-            num_partitions=join_partitions(per_order, qual),
-            on=("l_orderkey",),
-            right_on=("o_orderkey",),
-        ),
+    res = join(
+        per_order, qual, ("l_orderkey",), "inner",
         pa.schema(
             [("l_orderkey", pa.int64()), ("rev_e4", pa.int64()),
              ("o_orderkey", pa.int64()), ("o_orderdate", pa.timestamp("us"))]
         ),
+        right_on=("o_orderkey",),
     ).select_columns(["l_orderkey", "rev_e4", "o_orderdate"])
     return res.sort(["rev_e4", "l_orderkey"], descending=[True, False]).limit(10)
 
@@ -1146,7 +1118,7 @@ def returned_items_report(sf_dir: str):
 
     Scale shape: lineitem is masked to returnflag='R' and pre-summed per
     orderkey per batch before its only shuffle; the window-filtered orders
-    join is a native hash join; the per-customer aggregate is partial+
+    join is a util.join; the per-customer aggregate is partial+
     final; the top-20 sort runs over the small per-customer table; and
     name/nation are attached to just the 20 winners — customer via a
     bounded is_in scan, nation via a 25-row broadcast lookup — never a
@@ -1154,8 +1126,6 @@ def returned_items_report(sf_dir: str):
     import datetime as _dt
 
     import ray
-
-    from .util import drop_empty_blocks, join_partitions
 
     lo = _dt.datetime.fromisoformat(_Q10_LO)
     hi = _dt.datetime.fromisoformat(_Q10_HI)
@@ -1206,18 +1176,13 @@ def returned_items_report(sf_dir: str):
         in_window, batch_format="pyarrow", zero_copy_batch=True
     )
 
-    joined = drop_empty_blocks(
-        per_order.join(
-            orders,
-            join_type="inner",
-            num_partitions=join_partitions(per_order, orders),
-            on=("l_orderkey",),
-            right_on=("o_orderkey",),
-        ),
+    joined = join(
+        per_order, orders, ("l_orderkey",), "inner",
         pa.schema(
             [("l_orderkey", pa.int64()), ("rev", pa.int64()),
              ("o_orderkey", pa.int64()), ("o_custkey", pa.int64())]
         ),
+        right_on=("o_orderkey",),
     )
     per_cust = _rename(
         joined.groupby("o_custkey").sum("rev"), {"sum(rev)": "rev_e4"},
@@ -1471,12 +1436,10 @@ def promo_revenue_share(sf_dir: str):
 
     Scale shape: lineitem is filtered at the scan to the month window and
     pre-aggregated per batch to one row per partkey before its only
-    shuffle; part — scale-proportional, NOT broadcastable — joins with a
-    native hash join at adaptive parallelism; the CASE/total sums are
+    shuffle; part — scale-proportional — joins through util.join
+    (broadcast only while under the cap); the CASE/total sums are
     per-batch integer partials that reduce to two scalars."""
     import datetime as _dt
-
-    from .util import drop_empty_blocks, join_partitions
 
     lo = _dt.datetime.fromisoformat(_Q14_LO)
     hi = _dt.datetime.fromisoformat(_Q14_HI)
@@ -1518,18 +1481,13 @@ def promo_revenue_share(sf_dir: str):
     )
 
     part = read_table(sf_dir, "part", columns=["p_partkey", "p_type"])
-    joined = drop_empty_blocks(
-        per_part.join(
-            part,
-            join_type="inner",
-            num_partitions=join_partitions(per_part, part),
-            on=("l_partkey",),
-            right_on=("p_partkey",),
-        ),
+    joined = join(
+        per_part, part, ("l_partkey",), "inner",
         pa.schema(
             [("l_partkey", pa.int64()), ("rev_e4", pa.int64()),
              ("p_partkey", pa.int64()), ("p_type", pa.string())]
         ),
+        right_on=("p_partkey",),
     )
 
     _PART = pa.schema([("promo", pa.int64()), ("total", pa.int64())])
@@ -1599,7 +1557,6 @@ def large_volume_orders(sf_dir: str):
     BEFORE the orders join (only qualifying orders — a tiny fraction —
     enter the join); the customer name attaches to just the top-100
     winners via a bounded is_in lookup, never a full join."""
-    from .util import drop_empty_blocks, join_partitions
 
     li = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_quantity"])
 
@@ -1626,21 +1583,14 @@ def large_volume_orders(sf_dir: str):
         sf_dir, "orders",
         columns=["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"],
     )
-    joined = drop_empty_blocks(
-        per_order.join(
-            orders,
-            join_type="inner",
-            num_partitions=join_partitions(per_order, orders),
-            on=("l_orderkey",),
-            right_on=("o_orderkey",),
-        ),
-        # Ray's join merges the right key into the left key column, so the
-        # joined schema carries l_orderkey (== o_orderkey) once.
+    joined = join(
+        per_order, orders, ("l_orderkey",), "inner",
         pa.schema(
             [("l_orderkey", pa.int64()), ("sum_qty", pa.int64()),
              ("o_custkey", pa.int64()),
              ("o_orderdate", pa.timestamp("us")), ("o_totalprice", pa.float64())]
         ),
+        right_on=("o_orderkey",),
     )
 
     def with_cents(t: pa.Table) -> pa.Table:
@@ -1713,12 +1663,11 @@ def disjunctive_revenue(sf_dir: str):
 
     Scale shape: the part side is filtered to rows matching any
     brand+size clause BEFORE the join (a small fraction, but still
-    scale-proportional → native hash join, not a broadcast); lineitem is
+    scale-proportional → util.join, broadcast only under the cap); lineitem is
     pre-filtered at the scan to the qty envelope [min qty_lo, max qty_hi]
     — the only rows any clause could accept; the residual disjunction
     (clause-specific brand × qty) is one vectorized mask per joined
     batch; every batch reduces to two integers."""
-    from .util import drop_empty_blocks, join_partitions
 
     qty_lo = min(c[3] for c in _Q19_CLAUSES)
     qty_hi = max(c[4] for c in _Q19_CLAUSES)
@@ -1738,26 +1687,9 @@ def disjunctive_revenue(sf_dir: str):
             m = c if m is None else pc.or_(m, c)
         return t.filter(m)
 
-    # Heal before the join: the brand+size filter can empty whole blocks
-    # (schema-less in Ray 2.49), which crashes the join's finalize.
-    cand_parts = drop_empty_blocks(
-        part.map_batches(part_filter, batch_format="pyarrow", zero_copy_batch=True),
-        pa.schema(
-            [("p_partkey", pa.int64()), ("p_brand", pa.string()),
-             ("p_size", pa.int64())]
-        ),
+    cand_parts = part.map_batches(
+        part_filter, batch_format="pyarrow", zero_copy_batch=True
     )
-
-    zero = pa.table(
-        {"rev_e4": pa.array([0], pa.int64()),
-         "n_items": pa.array([0], pa.int64())}
-    )
-    # Short-circuit an empty candidate set (legitimate at tiny scale):
-    # a fully-empty join side is stored schema-less and crashes the join.
-    # count() here reads bundle metadata of the already-healed blocks.
-    if cand_parts.count() == 0:
-        return zero
-
     li = read_table(
         sf_dir, "lineitem",
         columns=["l_partkey", "l_quantity", "l_extendedprice", "l_discount"],
@@ -1773,20 +1705,15 @@ def disjunctive_revenue(sf_dir: str):
 
     li = li.map_batches(li_filter, batch_format="pyarrow", zero_copy_batch=True)
 
-    joined = drop_empty_blocks(
-        li.join(
-            cand_parts,
-            join_type="inner",
-            num_partitions=join_partitions(li, cand_parts),
-            on=("l_partkey",),
-            right_on=("p_partkey",),
-        ),
+    joined = join(
+        li, cand_parts, ("l_partkey",), "inner",
         pa.schema(
             [("l_partkey", pa.int64()), ("l_quantity", pa.float64()),
              ("l_extendedprice", pa.float64()), ("l_discount", pa.float64()),
              ("p_partkey", pa.int64()), ("p_brand", pa.string()),
              ("p_size", pa.int64())]
         ),
+        right_on=("p_partkey",),
     )
 
     _PART = pa.schema([("rev_e4", pa.int64()), ("n_items", pa.int64())])
@@ -2067,7 +1994,6 @@ def nation_trade_volume(sf_dir: str):
     pre-aggregates per (orderkey, supp_nation, year) before the orders
     join; orders ⋈ filtered-customer produces (orderkey, cust_nation) and
     the final join + direction filter reduce to ≤ 2 × years rows."""
-    from .util import drop_empty_blocks, join_partitions
 
     nations = {
         int(r["n_nationkey"]): r["n_name"]
@@ -2088,10 +2014,6 @@ def nation_trade_volume(sf_dir: str):
             zero_copy_batch=True,
         )
     )
-    supp = drop_empty_blocks(
-        supp, pa.schema([("s_suppkey", pa.int64()), ("s_nationkey", pa.int64())])
-    )
-
     cust = (
         read_table(sf_dir, "customer", columns=["c_custkey", "c_nationkey"])
         .map_batches(
@@ -2102,35 +2024,19 @@ def nation_trade_volume(sf_dir: str):
             zero_copy_batch=True,
         )
     )
-    cust = drop_empty_blocks(
-        cust, pa.schema([("c_custkey", pa.int64()), ("c_nationkey", pa.int64())])
-    )
-
-    _OUT = pa.schema(
-        [("supp_nation", pa.string()), ("cust_nation", pa.string()),
-         ("l_year", pa.int64()), ("rev_e4", pa.int64())]
-    )
-    if supp.count() == 0 or cust.count() == 0:
-        return _OUT.empty_table()
-
     li = read_table(
         sf_dir, "lineitem",
         columns=["l_orderkey", "l_suppkey", "l_extendedprice",
                  "l_discount", "l_shipdate"],
     )
-    li_s = drop_empty_blocks(
-        li.join(
-            supp,
-            join_type="inner",
-            num_partitions=join_partitions(li, supp),
-            on=("l_suppkey",),
-            right_on=("s_suppkey",),
-        ),
+    li_s = join(
+        li, supp, ("l_suppkey",), "inner",
         pa.schema(
             [("l_orderkey", pa.int64()), ("l_suppkey", pa.int64()),
              ("l_extendedprice", pa.float64()), ("l_discount", pa.float64()),
              ("l_shipdate", pa.timestamp("us")), ("s_nationkey", pa.int64())]
         ),
+        right_on=("s_suppkey",),
     )
 
     _LPART = pa.schema(
@@ -2162,33 +2068,23 @@ def nation_trade_volume(sf_dir: str):
     )
 
     orders = read_table(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
-    ord_c = drop_empty_blocks(
-        orders.join(
-            cust,
-            join_type="inner",
-            num_partitions=join_partitions(orders, cust),
-            on=("o_custkey",),
-            right_on=("c_custkey",),
-        ),
+    ord_c = join(
+        orders, cust, ("o_custkey",), "inner",
         pa.schema(
             [("o_orderkey", pa.int64()), ("o_custkey", pa.int64()),
              ("c_nationkey", pa.int64())]
         ),
+        right_on=("c_custkey",),
     ).select_columns(["o_orderkey", "c_nationkey"])
 
-    joined = drop_empty_blocks(
-        li_agg.join(
-            ord_c,
-            join_type="inner",
-            num_partitions=join_partitions(li_agg, ord_c),
-            on=("l_orderkey",),
-            right_on=("o_orderkey",),
-        ),
+    joined = join(
+        li_agg, ord_c, ("l_orderkey",), "inner",
         pa.schema(
             [("l_orderkey", pa.int64()), ("supp_key", pa.int64()),
              ("l_year", pa.int64()), ("rev", pa.int64()),
              ("c_nationkey", pa.int64())]
         ),
+        right_on=("o_orderkey",),
     )
 
     _GPART = pa.schema(
@@ -2223,6 +2119,11 @@ def nation_trade_volume(sf_dir: str):
         .groupby(["supp_key", "cust_key", "l_year"])
         .sum("rev")
     ).to_pandas()  # ≤ 2 directions × years rows — bounded
+    if agg.empty:
+        return pa.schema(
+            [("supp_nation", pa.string()), ("cust_nation", pa.string()),
+             ("l_year", pa.int64()), ("rev_e4", pa.int64())]
+        ).empty_table()
 
     return pa.table(
         {
@@ -2270,13 +2171,11 @@ def weekly_retention(sf_dir: str):
     Scale shape: two per-batch partial reductions over ONE events scan
     shape — (user, min ts) partials → groupby min gives the cohort;
     distinct (user, week) partials → groupby dedup gives activity — then
-    one native hash join on user_id and a final bounded groupby
+    one util.join on user_id and a final bounded groupby
     (≤ weeks² triangle rows).  Week truncation and the integer week
     offset are exact integer arithmetic on epoch days, bit-deterministic
     in any order."""
     from ray.data.aggregate import Min
-
-    from .util import drop_empty_blocks, join_partitions
 
     ev = read_table(sf_dir, "events", columns=["user_id", "ts"])
 
@@ -2322,14 +2221,8 @@ def weekly_retention(sf_dir: str):
         .select_columns(["user_id", "w"])
     )
 
-    joined = drop_empty_blocks(
-        weeks.join(
-            cohorts,
-            join_type="inner",
-            num_partitions=join_partitions(weeks, cohorts),
-            on=("user_id",),
-            right_on=("user_id",),
-        ),
+    joined = join(
+        weeks, cohorts, ("user_id",), "inner",
         pa.schema(
             [("user_id", pa.int64()), ("w", pa.timestamp("us")),
              ("cohort_week", pa.timestamp("us"))]
@@ -3299,7 +3192,6 @@ def market_share(sf_dir: str):
     collapse lineitems to order granularity BEFORE the orders join; the
     customer side is pre-filtered to the region's nations (1/5 of rows).
     The final aggregate is <= years x 2 rows on the driver."""
-    from .util import drop_empty_blocks, join_partitions
 
     nat = {
         int(r["n_nationkey"]): (r["n_name"], int(r["n_regionkey"]))
@@ -3327,8 +3219,6 @@ def market_share(sf_dir: str):
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
-    part = drop_empty_blocks(part, pa.schema([("p_partkey", pa.int64())]))
-
     supp = read_table(sf_dir, "supplier", columns=["s_suppkey", "s_nationkey"])
 
     li = read_table(
@@ -3336,35 +3226,23 @@ def market_share(sf_dir: str):
         columns=["l_orderkey", "l_partkey", "l_suppkey",
                  "l_extendedprice", "l_discount"],
     )
-    li_p = drop_empty_blocks(
-        li.join(
-            part,
-            join_type="inner",
-            num_partitions=join_partitions(li, part),
-            on=("l_partkey",),
-            right_on=("p_partkey",),
-        ),
+    li_p = join(
+        li, part, ("l_partkey",), "inner",
         pa.schema(
             [("l_orderkey", pa.int64()), ("l_partkey", pa.int64()),
              ("l_suppkey", pa.int64()), ("l_extendedprice", pa.float64()),
              ("l_discount", pa.float64())]
         ),
+        right_on=("p_partkey",),
     )
-    if li_p.count() == 0:
-        return _OUT.empty_table()
-    li_s = drop_empty_blocks(
-        li_p.join(
-            supp,
-            join_type="inner",
-            num_partitions=join_partitions(li_p, supp),
-            on=("l_suppkey",),
-            right_on=("s_suppkey",),
-        ),
+    li_s = join(
+        li_p, supp, ("l_suppkey",), "inner",
         pa.schema(
             [("l_orderkey", pa.int64()), ("l_partkey", pa.int64()),
              ("l_suppkey", pa.int64()), ("l_extendedprice", pa.float64()),
              ("l_discount", pa.float64()), ("s_nationkey", pa.int64())]
         ),
+        right_on=("s_suppkey",),
     )
 
     _LPART = pa.schema(
@@ -3407,39 +3285,25 @@ def market_share(sf_dir: str):
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
-    cust = drop_empty_blocks(cust, pa.schema([("c_custkey", pa.int64())]))
-    if cust.count() == 0:
-        return _OUT.empty_table()
-
     orders = read_table(
         sf_dir, "orders", columns=["o_orderkey", "o_custkey", "o_orderdate"]
     )
-    ord_c = drop_empty_blocks(
-        orders.join(
-            cust,
-            join_type="inner",
-            num_partitions=join_partitions(orders, cust),
-            on=("o_custkey",),
-            right_on=("c_custkey",),
-        ),
+    ord_c = join(
+        orders, cust, ("o_custkey",), "inner",
         pa.schema(
             [("o_orderkey", pa.int64()), ("o_custkey", pa.int64()),
              ("o_orderdate", pa.timestamp("us"))]
         ),
+        right_on=("c_custkey",),
     ).select_columns(["o_orderkey", "o_orderdate"])
 
-    joined = drop_empty_blocks(
-        li_agg.join(
-            ord_c,
-            join_type="inner",
-            num_partitions=join_partitions(li_agg, ord_c),
-            on=("l_orderkey",),
-            right_on=("o_orderkey",),
-        ),
+    joined = join(
+        li_agg, ord_c, ("l_orderkey",), "inner",
         pa.schema(
             [("l_orderkey", pa.int64()), ("is_target", pa.int64()),
              ("rev", pa.int64()), ("o_orderdate", pa.timestamp("us"))]
         ),
+        right_on=("o_orderkey",),
     )
 
     _GPART = pa.schema(
@@ -3541,7 +3405,6 @@ def late_sole_supplier(sf_dir: str):
     distinct rows shuffle into the single per-order groupby, then a tiny
     per-supplier count joined to the 1/25-filtered supplier dimension on
     the driver."""
-    from .util import drop_empty_blocks, join_partitions
 
     nat_key = {
         r["n_name"]: int(r["n_nationkey"])
@@ -3577,28 +3440,16 @@ def late_sole_supplier(sf_dir: str):
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
-    orders = drop_empty_blocks(
-        orders,
-        pa.schema([("o_orderkey", pa.int64()), ("o_orderdate", pa.timestamp("us"))]),
-    )
-    if orders.count() == 0:
-        return _OUT.empty_table()
-
     li = read_table(
         sf_dir, "lineitem", columns=["l_orderkey", "l_suppkey", "l_shipdate"]
     )
-    li_o = drop_empty_blocks(
-        li.join(
-            orders,
-            join_type="inner",
-            num_partitions=join_partitions(li, orders),
-            on=("l_orderkey",),
-            right_on=("o_orderkey",),
-        ),
+    li_o = join(
+        li, orders, ("l_orderkey",), "inner",
         pa.schema(
             [("l_orderkey", pa.int64()), ("l_suppkey", pa.int64()),
              ("l_shipdate", pa.timestamp("us")), ("o_orderdate", pa.timestamp("us"))]
         ),
+        right_on=("o_orderkey",),
     )
 
     _LPART = pa.schema(
@@ -3656,7 +3507,8 @@ def late_sole_supplier(sf_dir: str):
         .sum("one")
     ).to_pandas()  # <= |suppliers| rows — bounded
 
-    counts = counts[counts["s_suppkey"].isin(suppliers)]
+    if not counts.empty:  # an empty frame has no columns either
+        counts = counts[counts["s_suppkey"].isin(suppliers)]
     if counts.empty:
         return _OUT.empty_table()
     out = pa.table(
@@ -3719,17 +3571,14 @@ def min_cost_supplier(sf_dir: str):
     min subquery, computed as argmin-per-group + equality join-back
     (all ties kept, like Q2).
 
-    Plan (size-gated, VERDICT r4 #2): the region's supplier set and the
-    type/size-filtered part dimension are scale-proportional, so both
-    route through util.fetch_if_small.  Under the broadcast cap they are
-    driver maps (is_in pruning at the scan + O(1) name/acctbal lookups);
-    over it, the (part, supplier) min partials hash-join BOTH dimensions
-    natively — the region/type filters then apply at the join, and the
-    final ORDER BY/LIMIT runs as a distributed sort+limit.  Either way
-    only |offers| <= |filtered parts| x |region suppliers| rows ever
-    shuffle, and the argmin join-back runs inside per-part map_groups."""
-    from .util import drop_empty_blocks, fetch_if_small, join_partitions
-
+    Plan: the region's supplier set and the type/size-filtered part
+    dimension join the (part, supplier, price) lineitem projection FIRST
+    (util.join: broadcast while the filtered dimensions are under the cap,
+    hash-joined past it), so only region suppliers x filtered parts reach
+    the (part, supplier) min partials; the names ride the group key (they
+    are functions of it).  The argmin join-back runs inside per-part
+    map_groups, and the final ORDER BY/LIMIT is a distributed
+    sort+limit."""
     nat = {
         int(r["n_nationkey"]): int(r["n_regionkey"])
         for r in read_table(
@@ -3747,42 +3596,31 @@ def min_cost_supplier(sf_dir: str):
         pa.int64(),
     )
 
-    _SUPP = pa.schema(
-        [("l_suppkey", pa.int64()), ("s_name", pa.string()),
-         ("s_acctbal", pa.float64())]
+    supp_ds = read_table(
+        sf_dir, "supplier",
+        columns=["s_suppkey", "s_name", "s_acctbal", "s_nationkey"],
+    ).map_batches(
+        lambda t: t.filter(
+            pc.is_in(t["s_nationkey"], value_set=region_nat_keys)
+        )
+        .select(["s_suppkey", "s_name", "s_acctbal"])
+        .rename_columns(["l_suppkey", "s_name", "s_acctbal"]),
+        batch_format="pyarrow",
+        zero_copy_batch=True,
     )
-    supp_tbl, supp_ds = fetch_if_small(
-        read_table(
-            sf_dir, "supplier",
-            columns=["s_suppkey", "s_name", "s_acctbal", "s_nationkey"],
-        ).map_batches(
-            lambda t: t.filter(
-                pc.is_in(t["s_nationkey"], value_set=region_nat_keys)
+    part_ds = read_table(
+        sf_dir, "part", columns=["p_partkey", "p_name", "p_type", "p_size"]
+    ).map_batches(
+        lambda t: t.filter(
+            pc.and_(
+                pc.equal(t["p_type"], _Q2_TYPE),
+                pc.less_equal(t["p_size"], _Q2_MAX_SIZE),
             )
-            .select(["s_suppkey", "s_name", "s_acctbal"])
-            .rename_columns(["l_suppkey", "s_name", "s_acctbal"]),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        ),
-        _SUPP,
-    )
-    _PNAME = pa.schema([("l_partkey", pa.int64()), ("p_name", pa.string())])
-    part_tbl, part_ds = fetch_if_small(
-        read_table(
-            sf_dir, "part", columns=["p_partkey", "p_name", "p_type", "p_size"]
-        ).map_batches(
-            lambda t: t.filter(
-                pc.and_(
-                    pc.equal(t["p_type"], _Q2_TYPE),
-                    pc.less_equal(t["p_size"], _Q2_MAX_SIZE),
-                )
-            )
-            .select(["p_partkey", "p_name"])
-            .rename_columns(["l_partkey", "p_name"]),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        ),
-        _PNAME,
+        )
+        .select(["p_partkey", "p_name"])
+        .rename_columns(["l_partkey", "p_name"]),
+        batch_format="pyarrow",
+        zero_copy_batch=True,
     )
 
     _OUT = pa.schema(
@@ -3790,112 +3628,46 @@ def min_cost_supplier(sf_dir: str):
          ("p_partkey", pa.int64()), ("p_name", pa.string()),
          ("cost_e2", pa.int64())]
     )
-    broadcast = supp_tbl is not None and part_tbl is not None
-    if broadcast:
-        if supp_tbl.num_rows == 0 or part_tbl.num_rows == 0:
-            return _OUT.empty_table()
-        supp = {
-            int(k): (n, float(b))
-            for k, n, b in zip(
-                supp_tbl["l_suppkey"].to_pylist(),
-                supp_tbl["s_name"].to_pylist(),
-                supp_tbl["s_acctbal"].to_pylist(),
-            )
-        }
-        parts = dict(
-            zip(part_tbl["l_partkey"].to_pylist(), part_tbl["p_name"].to_pylist())
-        )
-        supp_keys = pa.array(sorted(supp), pa.int64())
-        part_keys = pa.array(sorted(parts), pa.int64())
-
-    _PART = pa.schema(
+    _LI = pa.schema(
         [("l_partkey", pa.int64()), ("l_suppkey", pa.int64()),
-         ("cost_e2", pa.int64())]
+         ("l_extendedprice", pa.float64()), ("p_name", pa.string())]
     )
-
-    def offer_partial(t: pa.Table) -> pa.Table:
-        if broadcast:
-            t = t.filter(
-                pc.and_(
-                    pc.is_in(t["l_partkey"], value_set=part_keys),
-                    pc.is_in(t["l_suppkey"], value_set=supp_keys),
-                )
-            )
-        if t.num_rows == 0:
-            return _PART.empty_table()
-        g = (
-            pa.table(
-                {
-                    "l_partkey": t["l_partkey"],
-                    "l_suppkey": t["l_suppkey"],
-                    "cost_e2": _cents(t["l_extendedprice"]),
-                }
-            )
-            .group_by(["l_partkey", "l_suppkey"])
-            .aggregate([("cost_e2", "min")])
-        )
-        return g.rename_columns(["l_partkey", "l_suppkey", "cost_e2"]).cast(_PART)
-
-    offers = (
+    li = join(
         read_table(
             sf_dir, "lineitem",
             columns=["l_partkey", "l_suppkey", "l_extendedprice"],
-        )
-        .map_batches(offer_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["l_partkey", "l_suppkey"])
-        .min("cost_e2")
+        ),
+        part_ds, ("l_partkey",), "inner", _LI,
     )
-    if not broadcast:
-        # inner-join semantics: an empty dimension means an empty result
-        if part_ds.count() == 0 or supp_ds.count() == 0:
-            return _OUT.empty_table()
-        # dimension filters arrive via native hash joins BEFORE the argmin
-        # (the min must range over region suppliers x filtered parts only)
-        _MIN = pa.schema(
-            [("l_partkey", pa.int64()), ("l_suppkey", pa.int64()),
-             ("min(cost_e2)", pa.int64())]
-        )
-        offers = drop_empty_blocks(offers, _MIN)
-        offers = offers.join(
-            part_ds, join_type="inner",
-            num_partitions=join_partitions(offers, part_ds), on=("l_partkey",),
-        )
-        offers = drop_empty_blocks(
-            offers, _MIN.append(pa.field("p_name", pa.string()))
-        )
-        offers = offers.join(
-            supp_ds, join_type="inner",
-            num_partitions=join_partitions(offers, supp_ds), on=("l_suppkey",),
-        )
+    li = join(
+        li, supp_ds, ("l_suppkey",), "inner",
+        _LI.append(pa.field("s_name", pa.string())).append(
+            pa.field("s_acctbal", pa.float64())
+        ),
+    )
 
-    _WIN = pa.schema(
-        [("s_acctbal", pa.float64()), ("s_name", pa.string()),
-         ("p_partkey", pa.int64()), ("p_name", pa.string()),
-         ("cost_e2", pa.int64())]
+    _KEY = ["l_partkey", "l_suppkey", "p_name", "s_name", "s_acctbal"]
+
+    def offer_partial(t: pa.Table) -> pa.Table:
+        g = (
+            t.select(_KEY)
+            .append_column("cost_e2", _cents(t["l_extendedprice"]))
+            .group_by(_KEY)
+            .aggregate([("cost_e2", "min")])
+        )
+        return g.rename_columns(_KEY + ["cost_e2"])
+
+    offers = (
+        li.map_batches(offer_partial, batch_format="pyarrow", zero_copy_batch=True)
+        .groupby(_KEY)
+        .min("cost_e2")
     )
 
     def argmin(group: pa.Table) -> pa.Table:
         if group.num_rows == 0:
-            return _WIN.empty_table()
+            return _OUT.empty_table()
         cost = group["min(cost_e2)"]
         k = group.filter(pc.equal(cost, pc.min(cost)))
-        if broadcast:
-            sk = k["l_suppkey"].to_pylist()
-            return pa.table(
-                {
-                    "s_acctbal": pa.array(
-                        [supp[int(s)][1] for s in sk], pa.float64()
-                    ),
-                    "s_name": pa.array([supp[int(s)][0] for s in sk], pa.string()),
-                    "p_partkey": k["l_partkey"],
-                    "p_name": pa.array(
-                        [parts[int(p)] for p in k["l_partkey"].to_pylist()],
-                        pa.string(),
-                    ),
-                    "cost_e2": k["min(cost_e2)"],
-                },
-                schema=_WIN,
-            )
         return pa.table(
             {
                 "s_acctbal": k["s_acctbal"],
@@ -3904,7 +3676,7 @@ def min_cost_supplier(sf_dir: str):
                 "p_name": k["p_name"],
                 "cost_e2": k["min(cost_e2)"],
             },
-            schema=_WIN,
+            schema=_OUT,
         )
 
     winners = (
@@ -3968,19 +3740,13 @@ def product_profit(sf_dir: str):
     """TPC-H Q9 shape: profit on a product line, by supplier nation and
     order year.
 
-    Plan (size-gated, VERDICT r4 #2): the name-filtered part table and
-    the full supplier dimension are scale-proportional, so both route
-    through util.fetch_if_small.  Under the broadcast cap: {part: retail
-    cents} and {suppkey: nation} driver maps, ONE lineitem pass computes
-    per-row exact profit and pre-aggregates to (l_orderkey, nation)
-    partials.  Over it: per-batch partials keep (l_partkey, l_suppkey)
-    and the revenue/quantity components separately, then native hash
-    joins bring in part cost and supplier nation — nothing
-    dimension-sized on the driver.  Either way the only big join (with
-    orders, for the year) sees order-granularity rows; a second partial
-    collapses to (nation, year) before the final tiny groupby."""
-    from .util import drop_empty_blocks, fetch_if_small, join_partitions
-
+    Plan: the name-filtered part table (with its retail cents) and the
+    supplier dimension (with its nation name) join the lineitem scan FIRST
+    (util.join: broadcast while under the cap, hash-joined past it), so
+    one map computes per-row exact profit on surviving rows only and
+    pre-aggregates to (l_orderkey, nation) partials.  The only big join
+    (with orders, for the year) sees order-granularity rows; a second
+    partial collapses to (nation, year) before the final tiny groupby."""
     nation_names = {
         int(r["n_nationkey"]): r["n_name"]
         for r in read_table(
@@ -3992,216 +3758,86 @@ def product_profit(sf_dir: str):
         [nation_names[int(k)] for k in nat_keys.to_pylist()], pa.string()
     )
 
-    _SUPP = pa.schema([("l_suppkey", pa.int64()), ("nation", pa.string())])
-    supp_tbl, supp_ds = fetch_if_small(
-        read_table(
-            sf_dir, "supplier", columns=["s_suppkey", "s_nationkey"]
-        ).map_batches(
-            lambda t: pa.table(
-                {
-                    "l_suppkey": pc.cast(t["s_suppkey"], pa.int64()),
-                    "nation": pc.take(
-                        nat_names_sorted,
-                        pc.index_in(t["s_nationkey"], value_set=nat_keys),
-                    ),
-                },
-                schema=_SUPP,
-            ),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
+    supp_ds = read_table(
+        sf_dir, "supplier", columns=["s_suppkey", "s_nationkey"]
+    ).map_batches(
+        lambda t: pa.table(
+            {
+                "l_suppkey": pc.cast(t["s_suppkey"], pa.int64()),
+                "nation": pc.take(
+                    nat_names_sorted,
+                    pc.index_in(t["s_nationkey"], value_set=nat_keys),
+                ),
+            }
         ),
-        _SUPP,
+        batch_format="pyarrow",
+        zero_copy_batch=True,
     )
-    _PCOST = pa.schema([("l_partkey", pa.int64()), ("cost_e2", pa.int64())])
-    part_tbl, part_ds = fetch_if_small(
-        read_table(
-            sf_dir, "part", columns=["p_partkey", "p_name", "p_retailprice"]
-        ).map_batches(
-            lambda t: (
-                lambda k: pa.table(
-                    {
-                        "l_partkey": pc.cast(k["p_partkey"], pa.int64()),
-                        "cost_e2": _cents(k["p_retailprice"]),
-                    },
-                    schema=_PCOST,
-                )
-            )(t.filter(pc.match_substring(t["p_name"], _Q9_NAME_SUBSTR))),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        ),
-        _PCOST,
+    part_ds = read_table(
+        sf_dir, "part", columns=["p_partkey", "p_name", "p_retailprice"]
+    ).map_batches(
+        lambda t: (
+            lambda k: pa.table(
+                {
+                    "l_partkey": pc.cast(k["p_partkey"], pa.int64()),
+                    "cost_e2": _cents(k["p_retailprice"]),
+                }
+            )
+        )(t.filter(pc.match_substring(t["p_name"], _Q9_NAME_SUBSTR))),
+        batch_format="pyarrow",
+        zero_copy_batch=True,
     )
     _OUT = pa.schema(
         [("nation", pa.string()), ("o_year", pa.int64()),
          ("profit_e4", pa.int64())]
     )
-    broadcast = supp_tbl is not None and part_tbl is not None
-    _LPART = pa.schema(
-        [("l_orderkey", pa.int64()), ("nation", pa.string()),
-         ("profit_e4", pa.int64())]
+    _LI = pa.schema(
+        [("l_orderkey", pa.int64()), ("l_partkey", pa.int64()),
+         ("l_suppkey", pa.int64()), ("l_quantity", pa.float64()),
+         ("l_extendedprice", pa.float64()), ("l_discount", pa.float64()),
+         ("cost_e2", pa.int64())]
+    )
+    li = join(
+        read_table(sf_dir, "lineitem", columns=_LI.names[:-1]),
+        part_ds, ("l_partkey",), "inner", _LI,
+    )
+    li = join(
+        li, supp_ds, ("l_suppkey",), "inner",
+        _LI.append(pa.field("nation", pa.string())),
     )
 
-    if broadcast:
-        if part_tbl.num_rows == 0:
-            return _OUT.empty_table()
-        supp_keys = supp_tbl["l_suppkey"].combine_chunks()
-        supp_nation = supp_tbl["nation"].combine_chunks()
-        part_keys = part_tbl["l_partkey"].combine_chunks()
-        part_cost = part_tbl["cost_e2"].combine_chunks()
-
-        def li_partial(t: pa.Table) -> pa.Table:
-            k = t.filter(pc.is_in(t["l_partkey"], value_set=part_keys))
-            if k.num_rows == 0:
-                return _LPART.empty_table()
-            cents = _cents(k["l_extendedprice"]).to_numpy(zero_copy_only=False)
-            disc = _cents(k["l_discount"]).to_numpy(zero_copy_only=False)
-            qty = (
-                pc.cast(pc.round(k["l_quantity"]), pa.int64())
-                .to_numpy(zero_copy_only=False)
-            )
-            cost = (
-                pc.take(part_cost, pc.index_in(k["l_partkey"], value_set=part_keys))
-                .to_numpy(zero_copy_only=False)
-            )
-            profit = cents * (100 - disc) - cost * qty * 100
-            nation = pc.take(
-                supp_nation, pc.index_in(k["l_suppkey"], value_set=supp_keys)
-            )
-            g = (
-                pa.table(
-                    {
-                        "l_orderkey": k["l_orderkey"],
-                        "nation": nation,
-                        "profit_e4": pa.array(profit, pa.int64()),
-                    }
-                )
-                .group_by(["l_orderkey", "nation"])
-                .aggregate([("profit_e4", "sum")])
-            )
-            return g.rename_columns(["l_orderkey", "nation", "profit_e4"])
-
-        li_agg = read_table(
-            sf_dir, "lineitem",
-            columns=["l_orderkey", "l_partkey", "l_suppkey",
-                     "l_quantity", "l_extendedprice", "l_discount"],
-        ).map_batches(li_partial, batch_format="pyarrow", zero_copy_batch=True)
-    else:
-        # inner-join semantics: no filtered parts means an empty result
-        if part_ds.count() == 0 or supp_ds.count() == 0:
-            return _OUT.empty_table()
-        # join plan: component partials keyed by (order, part, supp), then
-        # part cost and supplier nation arrive via native hash joins
-        _CPART = pa.schema(
-            [("l_orderkey", pa.int64()), ("l_partkey", pa.int64()),
-             ("l_suppkey", pa.int64()), ("rev_e4", pa.int64()),
-             ("qty", pa.int64())]
+    def li_partial(k: pa.Table) -> pa.Table:
+        cents = _cents(k["l_extendedprice"]).to_numpy(zero_copy_only=False)
+        disc = _cents(k["l_discount"]).to_numpy(zero_copy_only=False)
+        qty = (
+            pc.cast(pc.round(k["l_quantity"]), pa.int64())
+            .to_numpy(zero_copy_only=False)
         )
-
-        def comp_partial(t: pa.Table) -> pa.Table:
-            if t.num_rows == 0:
-                return _CPART.empty_table()
-            cents = _cents(t["l_extendedprice"]).to_numpy(zero_copy_only=False)
-            disc = _cents(t["l_discount"]).to_numpy(zero_copy_only=False)
-            qty = pc.cast(pc.round(t["l_quantity"]), pa.int64())
-            g = (
-                pa.table(
-                    {
-                        "l_orderkey": t["l_orderkey"],
-                        "l_partkey": t["l_partkey"],
-                        "l_suppkey": t["l_suppkey"],
-                        "rev_e4": pa.array(cents * (100 - disc), pa.int64()),
-                        "qty": qty,
-                    }
-                )
-                .group_by(["l_orderkey", "l_partkey", "l_suppkey"])
-                .aggregate([("rev_e4", "sum"), ("qty", "sum")])
+        cost = k["cost_e2"].to_numpy(zero_copy_only=False)
+        profit = cents * (100 - disc) - cost * qty * 100
+        g = (
+            pa.table(
+                {
+                    "l_orderkey": k["l_orderkey"],
+                    "nation": k["nation"],
+                    "profit_e4": pa.array(profit, pa.int64()),
+                }
             )
-            return g.rename_columns(
-                ["l_orderkey", "l_partkey", "l_suppkey", "rev_e4", "qty"]
-            ).cast(_CPART)
-
-        comp = drop_empty_blocks(
-            read_table(
-                sf_dir, "lineitem",
-                columns=["l_orderkey", "l_partkey", "l_suppkey",
-                         "l_quantity", "l_extendedprice", "l_discount"],
-            ).map_batches(comp_partial, batch_format="pyarrow", zero_copy_batch=True),
-            _CPART,
+            .group_by(["l_orderkey", "nation"])
+            .aggregate([("profit_e4", "sum")])
         )
-        with_part = comp.join(
-            part_ds, join_type="inner",
-            num_partitions=join_partitions(comp, part_ds), on=("l_partkey",),
-        )
-        _JPART = pa.schema(
-            [("l_orderkey", pa.int64()), ("l_suppkey", pa.int64()),
-             ("profit_e4", pa.int64())]
-        )
+        return g.rename_columns(["l_orderkey", "nation", "profit_e4"])
 
-        def profit_partial(t: pa.Table) -> pa.Table:
-            if t.num_rows == 0:
-                return _JPART.empty_table()
-            rev = t["rev_e4"].to_numpy(zero_copy_only=False)
-            qty = t["qty"].to_numpy(zero_copy_only=False)
-            cost = t["cost_e2"].to_numpy(zero_copy_only=False)
-            g = (
-                pa.table(
-                    {
-                        "l_orderkey": t["l_orderkey"],
-                        "l_suppkey": t["l_suppkey"],
-                        "profit_e4": pa.array(rev - cost * qty * 100, pa.int64()),
-                    }
-                )
-                .group_by(["l_orderkey", "l_suppkey"])
-                .aggregate([("profit_e4", "sum")])
-            )
-            return g.rename_columns(
-                ["l_orderkey", "l_suppkey", "profit_e4"]
-            ).cast(_JPART)
-
-        prof = drop_empty_blocks(
-            with_part.map_batches(
-                profit_partial, batch_format="pyarrow", zero_copy_batch=True
-            ),
-            _JPART,
-        )
-        with_nation = prof.join(
-            supp_ds, join_type="inner",
-            num_partitions=join_partitions(prof, supp_ds), on=("l_suppkey",),
-        )
-
-        def nation_partial(t: pa.Table) -> pa.Table:
-            if t.num_rows == 0:
-                return _LPART.empty_table()
-            g = (
-                t.select(["l_orderkey", "nation", "profit_e4"])
-                .group_by(["l_orderkey", "nation"])
-                .aggregate([("profit_e4", "sum")])
-            )
-            return g.rename_columns(
-                ["l_orderkey", "nation", "profit_e4"]
-            ).cast(_LPART)
-
-        li_agg = with_nation.map_batches(
-            nation_partial, batch_format="pyarrow", zero_copy_batch=True
-        )
-
-    li_agg = drop_empty_blocks(li_agg, _LPART)
-    if li_agg.count() == 0:
-        return _OUT.empty_table()
+    li_agg = li.map_batches(li_partial, batch_format="pyarrow", zero_copy_batch=True)
 
     orders = read_table(sf_dir, "orders", columns=["o_orderkey", "o_orderdate"])
-    joined = drop_empty_blocks(
-        li_agg.join(
-            orders,
-            join_type="inner",
-            num_partitions=join_partitions(li_agg, orders),
-            on=("l_orderkey",),
-            right_on=("o_orderkey",),
-        ),
+    joined = join(
+        li_agg, orders, ("l_orderkey",), "inner",
         pa.schema(
             [("l_orderkey", pa.int64()), ("nation", pa.string()),
              ("profit_e4", pa.int64()), ("o_orderdate", pa.timestamp("us"))]
         ),
+        right_on=("o_orderkey",),
     )
 
     _GPART = pa.schema(
@@ -4423,17 +4059,13 @@ def window_heavy_suppliers(sf_dir: str):
     one bounded groupby + an integer comparison (qty_window*6 >
     qty_total; no fraction on either side).
 
-    Plan (size-gated, VERDICT r4 #2): the part name-filter and the
-    nation's supplier set are scale-proportional, so each is routed
-    through util.fetch_if_small — under the broadcast cap they become
-    driver keysets (is_in pruning at the scan; the nation filter pushed
-    BEFORE the aggregate); over it, the per-batch conditional-sum
-    partials hash-join BOTH dimensions natively and nothing
-    dimension-sized ever reaches the driver.  Either way: one lineitem
-    pass, final groupby bounded by the nation's supplier count."""
+    Plan: the part name-filter's keys and the nation's supplier set join
+    the lineitem scan FIRST (util.join: broadcast while under the cap,
+    hash-joined past it), so only the nation's product-line rows reach the
+    per-batch conditional-sum partials; the supplier name rides the group
+    key.  One lineitem pass, final groupby bounded by the nation's
+    supplier count."""
     import datetime as _dt
-
-    from .util import drop_empty_blocks, fetch_if_small, join_partitions
 
     nat_key = {
         r["n_name"]: int(r["n_nationkey"])
@@ -4442,31 +4074,23 @@ def window_heavy_suppliers(sf_dir: str):
         ).take_all()
     }[_Q20_NATION]
 
-    _SUPP = pa.schema([("l_suppkey", pa.int64()), ("s_name", pa.string())])
-    supp_tbl, supp_ds = fetch_if_small(
-        read_table(
-            sf_dir, "supplier", columns=["s_suppkey", "s_name", "s_nationkey"]
-        ).map_batches(
-            lambda t: t.filter(pc.equal(t["s_nationkey"], nat_key))
-            .select(["s_suppkey", "s_name"])
-            .rename_columns(["l_suppkey", "s_name"]),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        ),
-        _SUPP,
+    supp_ds = read_table(
+        sf_dir, "supplier", columns=["s_suppkey", "s_name", "s_nationkey"]
+    ).map_batches(
+        lambda t: t.filter(pc.equal(t["s_nationkey"], nat_key))
+        .select(["s_suppkey", "s_name"])
+        .rename_columns(["l_suppkey", "s_name"]),
+        batch_format="pyarrow",
+        zero_copy_batch=True,
     )
-    _PKEY = pa.schema([("l_partkey", pa.int64())])
-    part_tbl, part_ds = fetch_if_small(
-        read_table(sf_dir, "part", columns=["p_partkey", "p_name"]).map_batches(
-            lambda t: t.filter(
-                pc.match_substring(t["p_name"], _Q20_NAME_SUBSTR)
-            )
-            .select(["p_partkey"])
-            .rename_columns(["l_partkey"]),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        ),
-        _PKEY,
+    part_ds = read_table(sf_dir, "part", columns=["p_partkey", "p_name"]).map_batches(
+        lambda t: t.filter(
+            pc.match_substring(t["p_name"], _Q20_NAME_SUBSTR)
+        )
+        .select(["p_partkey"])
+        .rename_columns(["l_partkey"]),
+        batch_format="pyarrow",
+        zero_copy_batch=True,
     )
     _OUT = pa.schema(
         [("s_name", pa.string()), ("qty_window", pa.int64()),
@@ -4474,33 +4098,21 @@ def window_heavy_suppliers(sf_dir: str):
     )
     lo = _dt.datetime.fromisoformat(_Q20_LO)
     hi = _dt.datetime.fromisoformat(_Q20_HI)
-    broadcast = supp_tbl is not None and part_tbl is not None
-    if broadcast:
-        if supp_tbl.num_rows == 0 or part_tbl.num_rows == 0:
-            return _OUT.empty_table()
-        supp = dict(
-            zip(supp_tbl["l_suppkey"].to_pylist(), supp_tbl["s_name"].to_pylist())
-        )
-        supp_keys = pa.array(sorted(supp), pa.int64())
-        part_keys = pa.array(
-            sorted(part_tbl["l_partkey"].to_pylist()), pa.int64()
-        )
 
-    _PART = pa.schema(
+    _LI = pa.schema(
         [("l_partkey", pa.int64()), ("l_suppkey", pa.int64()),
-         ("qty_window", pa.int64()), ("qty_total", pa.int64())]
+         ("l_quantity", pa.float64()), ("l_shipdate", pa.timestamp("us"))]
+    )
+    li = join(
+        read_table(sf_dir, "lineitem", columns=_LI.names),
+        part_ds, ("l_partkey",), "inner", _LI,
+    )
+    li = join(
+        li, supp_ds, ("l_suppkey",), "inner",
+        _LI.append(pa.field("s_name", pa.string())),
     )
 
     def partial(t: pa.Table) -> pa.Table:
-        if broadcast:
-            t = t.filter(
-                pc.and_(
-                    pc.is_in(t["l_partkey"], value_set=part_keys),
-                    pc.is_in(t["l_suppkey"], value_set=supp_keys),
-                )
-            )
-        if t.num_rows == 0:
-            return _PART.empty_table()
         qty = pc.cast(pc.round(t["l_quantity"]), pa.int64())
         in_win = pc.cast(
             pc.and_(
@@ -4512,81 +4124,28 @@ def window_heavy_suppliers(sf_dir: str):
         g = (
             pa.table(
                 {
-                    "l_partkey": t["l_partkey"],
                     "l_suppkey": t["l_suppkey"],
+                    "s_name": t["s_name"],
                     "qty_window": pc.multiply(qty, in_win),
                     "qty_total": qty,
                 }
             )
-            .group_by(["l_partkey", "l_suppkey"])
+            .group_by(["l_suppkey", "s_name"])
             .aggregate([("qty_window", "sum"), ("qty_total", "sum")])
         )
-        return g.rename_columns(
-            ["l_partkey", "l_suppkey", "qty_window", "qty_total"]
-        ).cast(_PART)
+        return g.rename_columns(["l_suppkey", "s_name", "qty_window", "qty_total"])
 
-    li = read_table(
-        sf_dir, "lineitem",
-        columns=["l_partkey", "l_suppkey", "l_quantity", "l_shipdate"],
-    ).map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-
-    if not broadcast:
-        # inner-join semantics: an empty dimension means an empty result
-        if part_ds.count() == 0 or supp_ds.count() == 0:
-            return _OUT.empty_table()
-        # native hash joins: part keys prune, then the supplier names ride
-        li = drop_empty_blocks(li, _PART)
-        li = li.join(
-            part_ds, join_type="inner",
-            num_partitions=join_partitions(li, part_ds), on=("l_partkey",),
-        )
-
-    _SPART = pa.schema(
-        [("l_suppkey", pa.int64()), ("qty_window", pa.int64()),
-         ("qty_total", pa.int64())]
-    )
-
-    def resum(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _SPART.empty_table()
-        g = (
-            t.select(["l_suppkey", "qty_window", "qty_total"])
-            .group_by("l_suppkey")
-            .aggregate([("qty_window", "sum"), ("qty_total", "sum")])
-        )
-        return g.rename_columns(
-            ["l_suppkey", "qty_window", "qty_total"]
-        ).cast(_SPART)
-
-    agg = (
-        li.map_batches(resum, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("l_suppkey")
+    rows = (
+        li.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
+        .groupby(["l_suppkey", "s_name"])
         .aggregate(*_sum_cols("qty_window", "qty_total"))
+        .take_all()  # <= the nation's supplier count — bounded
     )
-    if broadcast:
-        rows = agg.take_all()  # <= the nation's supplier count — bounded
-        keep = [
-            (supp[int(r["l_suppkey"])], int(r["sum(qty_window)"]),
-             int(r["sum(qty_total)"]))
-            for r in rows
-            if int(r["sum(qty_window)"]) * 6 > int(r["sum(qty_total)"])
-        ]
-    else:
-        _AGG = pa.schema(
-            [("l_suppkey", pa.int64()), ("sum(qty_window)", pa.int64()),
-             ("sum(qty_total)", pa.int64())]
-        )
-        agg = drop_empty_blocks(agg, _AGG)
-        named = agg.join(
-            supp_ds, join_type="inner",
-            num_partitions=join_partitions(agg, supp_ds), on=("l_suppkey",),
-        )
-        keep = [
-            (r["s_name"], int(r["sum(qty_window)"]), int(r["sum(qty_total)"]))
-            for r in named.take_all()  # <= the nation's supplier count
-            if int(r["sum(qty_window)"]) * 6 > int(r["sum(qty_total)"])
-        ]
-    keep.sort()
+    keep = sorted(
+        (r["s_name"], int(r["sum(qty_window)"]), int(r["sum(qty_total)"]))
+        for r in rows
+        if int(r["sum(qty_window)"]) * 6 > int(r["sum(qty_total)"])
+    )
     return pa.table(
         {
             "s_name": pa.array([k[0] for k in keep], pa.string()),
@@ -5002,8 +4561,6 @@ def priority_split_by_status(sf_dir: str):
     CASE pass."""
     import datetime as _dt
 
-    from .util import drop_empty_blocks, join_partitions
-
     lo = _dt.datetime.fromisoformat(_Q12_LO)
     hi = _dt.datetime.fromisoformat(_Q12_HI)
 
@@ -5020,10 +4577,7 @@ def priority_split_by_status(sf_dir: str):
         )
         return t.select(["l_orderkey", "l_linestatus"])
 
-    li_w = drop_empty_blocks(
-        li.map_batches(window, batch_format="pyarrow", zero_copy_batch=True),
-        pa.schema([("l_orderkey", pa.int64()), ("l_linestatus", pa.string())]),
-    )
+    li_w = li.map_batches(window, batch_format="pyarrow", zero_copy_batch=True)
 
     orders = read_table(sf_dir, "orders", columns=["o_orderkey", "o_orderpriority"])
 
@@ -5036,18 +4590,13 @@ def priority_split_by_status(sf_dir: str):
 
     ord_f = orders.map_batches(flag, batch_format="pyarrow", zero_copy_batch=True)
 
-    joined = drop_empty_blocks(
-        li_w.join(
-            ord_f,
-            join_type="inner",
-            num_partitions=join_partitions(li_w, ord_f),
-            on=("l_orderkey",),
-            right_on=("o_orderkey",),
-        ),
+    joined = join(
+        li_w, ord_f, ("l_orderkey",), "inner",
         pa.schema(
             [("l_orderkey", pa.int64()), ("l_linestatus", pa.string()),
              ("o_orderkey", pa.int64()), ("is_high", pa.int64())]
         ),
+        right_on=("o_orderkey",),
     )
 
     def split_partial(t: pa.Table) -> pa.Table:
@@ -5129,8 +4678,6 @@ def part_supplier_variety(sf_dir: str):
     import ray
     from ray.data.aggregate import Count, Sum
 
-    from .util import drop_empty_blocks, join_partitions
-
     sup = read_table(sf_dir, "supplier", columns=["s_suppkey", "s_acctbal"])
 
     def sup_cents(t: pa.Table) -> pa.Table:
@@ -5163,29 +4710,23 @@ def part_supplier_variety(sf_dir: str):
         t = t.filter(pc.invert(pc.is_in(t["l_suppkey"], value_set=pa.array(ks))))
         return t.group_by(["l_partkey", "l_suppkey"]).aggregate([])
 
-    pairs = drop_empty_blocks(
+    pairs = (
         li.map_batches(pair_partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby(["l_partkey", "l_suppkey"])
         .count()
-        .select_columns(["l_partkey", "l_suppkey"]),
-        pa.schema([("l_partkey", pa.int64()), ("l_suppkey", pa.int64())]),
+        .select_columns(["l_partkey", "l_suppkey"])
     )
 
     part = read_table(sf_dir, "part", columns=["p_partkey", "p_brand", "p_size"])
 
-    joined = drop_empty_blocks(
-        pairs.join(
-            part,
-            join_type="inner",
-            num_partitions=join_partitions(pairs, part),
-            on=("l_partkey",),
-            right_on=("p_partkey",),
-        ),
+    joined = join(
+        pairs, part, ("l_partkey",), "inner",
         pa.schema(
             [("l_partkey", pa.int64()), ("l_suppkey", pa.int64()),
              ("p_partkey", pa.int64()), ("p_brand", pa.string()),
              ("p_size", pa.int64())]
         ),
+        right_on=("p_partkey",),
     )
 
     def triple_partial(t: pa.Table) -> pa.Table:
@@ -5262,8 +4803,6 @@ def sales_rollup(sf_dir: str):
     levels; counts and integer-cent sums add across levels exactly."""
     import ray
 
-    from .util import drop_empty_blocks, join_partitions
-
     nation = read_table(sf_dir, "nation").take_all()  # 25-row dimension
     name_of = {int(r["n_nationkey"]): str(r["n_name"]) for r in nation}
     names_ref = ray.put(name_of)
@@ -5284,18 +4823,13 @@ def sales_rollup(sf_dir: str):
 
     ord_p = orders.map_batches(order_proj, batch_format="pyarrow", zero_copy_batch=True)
 
-    joined = drop_empty_blocks(
-        ord_p.join(
-            cust,
-            join_type="inner",
-            num_partitions=join_partitions(ord_p, cust),
-            on=("o_custkey",),
-            right_on=("c_custkey",),
-        ),
+    joined = join(
+        ord_p, cust, ("o_custkey",), "inner",
         pa.schema(
             [("o_custkey", pa.int64()), ("cents", pa.int64()), ("yr", pa.int64()),
              ("c_custkey", pa.int64()), ("c_nationkey", pa.int32())]
         ),
+        right_on=("c_custkey",),
     )
 
     def base_partial(t: pa.Table) -> pa.Table:
@@ -5492,8 +5026,6 @@ def activity_reconcile(sf_dir: str):
     vectorized is_null pass after the join."""
     from ray.data.aggregate import Sum
 
-    from .util import drop_empty_blocks, join_partitions
-
     ev = read_table(sf_dir, "events", columns=["user_id", "value"])
 
     _EVP = pa.schema(
@@ -5552,26 +5084,22 @@ def activity_reconcile(sf_dir: str):
 
         return fn
 
-    evs = drop_empty_blocks(
+    evs = (
         ev.map_batches(ev_partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("key")
         .aggregate(Sum("n_events"), Sum("event_cents"))
         .map_batches(rn(["n_events", "event_cents"]), batch_format="pyarrow",
-                     zero_copy_batch=True),
-        _EVP,
+                     zero_copy_batch=True)
     )
-    hvs = drop_empty_blocks(
+    hvs = (
         read_table(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
         .map_batches(hv_partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("key")
         .aggregate(Sum("n_big_orders"), Sum("order_cents"))
         .map_batches(rn(["n_big_orders", "order_cents"]), batch_format="pyarrow",
-                     zero_copy_batch=True),
-        _HVP,
+                     zero_copy_batch=True)
     )
-
-    _jp = join_partitions(evs, hvs)
-    j = evs.join(hvs, join_type="full_outer", num_partitions=_jp, on=("key",))
+    j = join(evs, hvs, ("key",), "full_outer", pa.schema(list(_EVP) + list(_HVP)[1:]))
 
     _OUT = pa.schema(
         [("key", pa.int64()), ("n_events", pa.int64()),
@@ -5703,8 +5231,6 @@ def bloom_semi_join(sf_dir: str):
     import ray
     from ray.data.aggregate import Sum
 
-    from .util import drop_empty_blocks, join_partitions
-
     cust = read_table(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
 
     _BITS = pa.schema([("bit", pa.int64())])
@@ -5767,22 +5293,20 @@ def bloom_semi_join(sf_dir: str):
         .take_all()  # ≤ |statuses| rows
     }
 
-    # exact audit: distributed left_semi join — no key-set broadcast
-    keys = drop_empty_blocks(
-        cust.map_batches(
-            lambda t: t.filter(pc.equal(t["c_mktsegment"], _BLOOM_SEG))
-            .select(["c_custkey"])
-            .rename_columns(["o_custkey"]),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        ),
-        pa.schema([("o_custkey", pa.int64())]),
+    # exact audit: a left_semi util.join (the key set is broadcast only
+    # while it is under the cap)
+    keys = cust.map_batches(
+        lambda t: t.filter(pc.equal(t["c_mktsegment"], _BLOOM_SEG))
+        .select(["c_custkey"])
+        .rename_columns(["o_custkey"]),
+        batch_format="pyarrow",
+        zero_copy_batch=True,
     )
-    _jp = join_partitions(orders)
     true_counts = {
         r["o_orderstatus"]: int(r["count()"])
-        for r in orders.join(
-            keys, join_type="left_semi", num_partitions=_jp, on=("o_custkey",)
+        for r in join(
+            orders, keys, ("o_custkey",), "left_semi",
+            pa.schema([("o_custkey", pa.int64()), ("o_orderstatus", pa.string())]),
         )
         .groupby("o_orderstatus")
         .count()
@@ -5960,14 +5484,13 @@ def snapshot_diff(sf_dir: str):
     the oracle replays it), classifying every doc id as added / removed /
     modified / unchanged by TEXT COMPARISON, never by the rule.
 
-    Scale shape: the synthesis is one stateless vectorized map (B never
-    materializes outside the streamed join); the diff is ONE hash-join
-    exchange on doc_id; classification is a vectorized null/equality pass.
+    Scale shape: the synthesis is one stateless vectorized map (B is
+    materialized once, as every util.join input is); the diff is ONE hash-join
+    exchange on doc_id (util.join: a full outer join always shuffles);
+    classification is a vectorized null/equality pass.
     Against a real second snapshot the same plan applies unchanged — feed
     B from read_parquet instead of the synth map."""
     from ..functions import dedup as dd
-
-    from .util import join_partitions
 
     docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
 
@@ -6006,8 +5529,12 @@ def snapshot_diff(sf_dir: str):
 
     a = docs.map_batches(to_a, batch_format="pyarrow", zero_copy_batch=True)
     b = docs.map_batches(to_b, batch_format="pyarrow", zero_copy_batch=True)
-    _jp = join_partitions(a, b)
-    j = a.join(b, join_type="full_outer", num_partitions=_jp, on=("doc_id",))
+    j = join(
+        a, b, ("doc_id",), "full_outer",
+        pa.schema(
+            [("doc_id", pa.int64()), ("text_a", pa.string()), ("text_b", pa.string())]
+        ),
+    )
 
     _OUT = pa.schema([("doc_id", pa.int64()), ("change", pa.string())])
 

@@ -666,7 +666,7 @@ def more_like_this(sf_dir: str):
     dictionary read, ≤ one doc's vocab) are driver-side but bounded by
     document size, never corpus size; the actual retrieval is the same
     index-backed scorer-actor path as the flagship, and the id remap is a
-    Dataset join of the (k·|seeds|)-row result against the checkpoint.
+    util.join of the (k·|seeds|)-row result against the checkpoint.
     """
     import ray.data
 
@@ -926,14 +926,14 @@ def facet_counts(sf_dir: str):
 
     Scale shape: candidates come from the INDEX (is_in-pruned dictionary
     read, only queried posting rows decoded — same path as
-    boolean_and_counts); the facet column attaches via ONE native hash
-    join against the docvec checkpoint's (doc_id, lang) projection
-    (scale-proportional, NOT broadcastable) at adaptive parallelism; the
+    boolean_and_counts); the facet column attaches via ONE util.join
+    against the docvec checkpoint's (doc_id, lang) projection (the small
+    matched set is the broadcast side until it outgrows the cap); the
     result reduces to ≤ |queries| × |langs| rows.  The corpus text is
     never re-scanned."""
     import ray.data
 
-    from .util import drop_empty_blocks, join_partitions
+    from .util import drop_empty_blocks, join
 
     build_dir = _index_for(sf_dir)
 
@@ -991,35 +991,27 @@ def facet_counts(sf_dir: str):
             {"query_id": q[keep], "doc_id": d[keep]}, schema=_HITS
         )
 
-    matched = drop_empty_blocks(
-        per_doc.map_batches(full_match, batch_format="pyarrow", zero_copy_batch=True),
-        _HITS,
+    matched = per_doc.map_batches(
+        full_match, batch_format="pyarrow", zero_copy_batch=True
     )
-
-    _OUT = pa.schema(
-        [("query_id", pa.int64()), ("lang", pa.string()), ("n_match", pa.int64())]
-    )
-    if matched.count() == 0:
-        return _OUT.empty_table()
-
     langs = ray.data.read_parquet(
         os.path.join(build_dir, "stage=docvec"), columns=["doc_id", "lang"]
     )
-    joined = drop_empty_blocks(
-        matched.join(
-            langs,
-            join_type="inner",
-            num_partitions=join_partitions(matched, langs),
-            on=("doc_id",),
-            right_on=("doc_id",),
-        ),
+    joined = join(
+        matched, langs, ("doc_id",), "inner",
         pa.schema(
             [("query_id", pa.int64()), ("doc_id", pa.int64()),
              ("lang", pa.string())]
         ),
     )
     agg = joined.groupby(["query_id", "lang"]).count()
-    return _rename(agg, {"count()": "n_match"}, int64_cols=("n_match",))
+    # heal: no full match must still present the output columns
+    return drop_empty_blocks(
+        _rename(agg, {"count()": "n_match"}, int64_cols=("n_match",)),
+        pa.schema(
+            [("query_id", pa.int64()), ("lang", pa.string()), ("n_match", pa.int64())]
+        ),
+    )
 
 
 # ===========================================================================

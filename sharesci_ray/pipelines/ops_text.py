@@ -23,6 +23,7 @@ from ..functions.text import (
 )
 from ..sources.corpus import read_table
 from .ops import op
+from .util import join
 
 _TOKS = SQL_TOKENIZE.format(col="text")
 
@@ -274,10 +275,9 @@ def bigram_pmi_topk(sf_dir: str):
 
     Distributed shape: per-batch (left, right) pair counts and unigram
     counts pre-aggregate before their groupbys; the min-count filter
-    (n ≥ {5}) prunes the long tail BEFORE the two unigram hash joins; the
+    (n ≥ {5}) prunes the long tail BEFORE the two unigram joins; the
     final sort sees only the surviving collocations.  At 100 TB the join
     keys are vocabulary-sized, never corpus-sized."""
-    from .util import drop_empty_blocks, join_partitions
 
     docs = read_table(sf_dir, "documents", columns=["text"])
 
@@ -341,12 +341,11 @@ def bigram_pmi_topk(sf_dir: str):
         zero_copy_batch=True,
     )
 
-    j1 = drop_empty_blocks(
-        bg.join(uni, join_type="inner",
-                num_partitions=join_partitions(bg, uni),
-                on=("l",), right_on=("term",)),
+    j1 = join(
+        bg, uni, ("l",), "inner",
         pa.schema([("l", pa.string()), ("r", pa.string()), ("n", pa.int64()),
                    ("un", pa.int64())]),
+        right_on=("term",),
     )
     j1 = j1.map_batches(
         lambda t: t.rename_columns(
@@ -355,12 +354,11 @@ def bigram_pmi_topk(sf_dir: str):
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
-    j2 = drop_empty_blocks(
-        j1.join(uni, join_type="inner",
-                num_partitions=join_partitions(j1, uni),
-                on=("r",), right_on=("term",)),
+    j2 = join(
+        j1, uni, ("r",), "inner",
         pa.schema([("l", pa.string()), ("r", pa.string()), ("n", pa.int64()),
                    ("n_l", pa.int64()), ("un", pa.int64())]),
+        right_on=("term",),
     )
 
     def score(t: pa.Table) -> pa.Table:
@@ -665,13 +663,12 @@ def unigram_logprob(sf_dir: str):
     so the (term, weight) table stays DISTRIBUTED — the same hash-join
     shape bigram_logprob uses.  One partial-agg pass builds the (term, tf)
     table; the only driver value is the single scalar total (Dataset.sum);
-    the weight stream hash-joins into per-batch (doc_id, term, c) partials,
+    the weight stream joins into per-batch (doc_id, term, c) partials,
     and per-doc integer partials pre-reduce inside each batch before the
     final doc groupby.  No take_all / ray.put of anything vocab-sized."""
     from ray.data.aggregate import Sum
 
     from .ops import term_tf_total
-    from .util import drop_empty_blocks, join_partitions
 
     docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
 
@@ -687,10 +684,7 @@ def unigram_logprob(sf_dir: str):
         w = np.round(1_000_000.0 * np.log(c / total)).astype(np.int64)
         return pa.table({"term": t["term"], "w": pa.array(w)}, schema=_WT)
 
-    wt = drop_empty_blocks(
-        tf.map_batches(weigh, batch_format="pyarrow", zero_copy_batch=True),
-        _WT,
-    )
+    wt = tf.map_batches(weigh, batch_format="pyarrow", zero_copy_batch=True)
 
     _TOKP = pa.schema(
         [("doc_id", pa.int64()), ("term", pa.string()), ("c", pa.int64())]
@@ -717,8 +711,7 @@ def unigram_logprob(sf_dir: str):
     toks = docs.map_batches(
         tok_partial, batch_format="pyarrow", zero_copy_batch=True
     )
-    _jp = join_partitions(toks, wt)
-    scored = toks.join(wt, join_type="inner", num_partitions=_jp, on=("term",))
+    scored = join(toks, wt, ("term",), "inner", _TOKP.append(pa.field("w", pa.int64())))
 
     _PART = pa.schema(
         [("doc_id", pa.int64()), ("sum_micronats", pa.int64()),
@@ -947,13 +940,11 @@ def clean_chunks(sf_dir: str):
     (token count ≥ {min_tokens}, 10·digit_chars ≤ {digit_num}·chars) fused
     with md5 fingerprinting into one map pass; keep-first dedup shuffles
     only (hash → min doc_id) partials (same shape as dedup_exact); the
-    survivor set returns via a native hash join (distinct keys → semi
+    survivor set returns via a util.join (distinct keys → semi
     join, no fanout); chunking reuses chunk_explode.  Content crosses the
     wire once — the join carries doc ids, and the text column rides the
     filtered dataset, never the shuffle."""
     from ray.data.aggregate import Min
-
-    from .util import drop_empty_blocks, join_partitions
 
     docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
 
@@ -1015,16 +1006,13 @@ def clean_chunks(sf_dir: str):
     keepers = keepers.map_batches(keeper_ids, batch_format="pyarrow",
                                   zero_copy_batch=True)
 
-    surv = drop_empty_blocks(
-        gated.select_columns(["doc_id", "text"]).join(
-            keepers, join_type="inner",
-            num_partitions=join_partitions(gated, keepers),
-            on=("doc_id",), right_on=("keep_id",),
-        ),
+    surv = join(
+        gated.select_columns(["doc_id", "text"]), keepers, ("doc_id",), "inner",
         pa.schema(
             [("doc_id", pa.int64()), ("text", pa.string()),
              ("keep_id", pa.int64())]
         ),
+        right_on=("keep_id",),
     )
     return surv.map_batches(chunk_explode, batch_format="pyarrow",
                             zero_copy_batch=True)
@@ -1604,12 +1592,10 @@ def bigram_logprob(sf_dir: str):
     Scale shape: unlike the unigram op's broadcast LUT (safe for a word
     vocab), the bigram vocabulary is corpus-proportional, so the weight
     table stays DISTRIBUTED: bigram-count partials → one vocab groupby →
-    left-count join → the weight stream hash-joins back into the bigram
+    left-count join → the weight stream joins back into the bigram
     stream on (w1, w2), and per-doc integer partials pre-reduce inside
     each batch before the final doc groupby."""
     from ray.data.aggregate import Sum
-
-    from .util import drop_empty_blocks, join_partitions
 
     docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
 
@@ -1670,7 +1656,7 @@ def bigram_logprob(sf_dir: str):
         .materialize()  # two consumers: left counts + the weight join
     )
 
-    lft = drop_empty_blocks(
+    lft = (
         cnt.groupby("w1")
         .aggregate(Sum("c"))
         .map_batches(
@@ -1679,11 +1665,9 @@ def bigram_logprob(sf_dir: str):
             ),
             batch_format="pyarrow",
             zero_copy_batch=True,
-        ),
-        pa.schema([("w1", pa.string()), ("cl", pa.int64())]),
+        )
     )
 
-    _jp = join_partitions(cnt)
     _WT = pa.schema(
         [("w1", pa.string()), ("w2", pa.string()), ("w", pa.int64())]
     )
@@ -1698,17 +1682,12 @@ def bigram_logprob(sf_dir: str):
             {"w1": t["w1"], "w2": t["w2"], "w": pa.array(w)}, schema=_WT
         )
 
-    wt = drop_empty_blocks(
-        cnt.join(lft, join_type="inner", num_partitions=_jp, on=("w1",))
-        .map_batches(weigh, batch_format="pyarrow", zero_copy_batch=True),
-        _WT,
-    )
+    wt = join(
+        cnt, lft, ("w1",), "inner", _CNT.append(pa.field("cl", pa.int64()))
+    ).map_batches(weigh, batch_format="pyarrow", zero_copy_batch=True)
 
     bg = docs.map_batches(bigrams, batch_format="pyarrow", zero_copy_batch=True)
-    # the occurrence stream is strictly larger than the distinct-bigram
-    # table — size ITS join from both sides (review r4), not from cnt
-    _jp_bg = join_partitions(bg, wt)
-    scored = bg.join(wt, join_type="inner", num_partitions=_jp_bg, on=("w1", "w2"))
+    scored = join(bg, wt, ("w1", "w2"), "inner", _BG.append(pa.field("w", pa.int64())))
 
     _PART = pa.schema(
         [("doc_id", pa.int64()), ("sum_micronats", pa.int64()),

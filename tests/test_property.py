@@ -503,3 +503,70 @@ def test_final_topk_of_partials_equals_union_topk(
             dedupe=dupes,
         )
         assert g.equals(got.filter(pc.equal(got["query_id"], key)))
+
+
+_JOIN_ROWS = st.lists(
+    st.tuples(st.one_of(st.none(), st.integers(0, 4)), st.integers(0, 99)),
+    max_size=12,
+)
+
+
+def _join_side(rows, key: str, val: str, n_blocks: int, sparse: bool):
+    """A dataset of ``rows`` split over ``n_blocks`` blocks; ``sparse``
+    routes it through a groupby().map_groups() over more partitions than
+    keys, which leaves schema-less 0-row blocks."""
+    import ray.data
+
+    sch = pa.schema([(key, pa.int64()), (val, pa.int64())])
+    tbl = pa.table(
+        {key: [r[0] for r in rows], val: [r[1] for r in rows]}, schema=sch
+    )
+    cuts = np.linspace(0, len(rows), n_blocks + 1).astype(int)
+    ds = ray.data.from_arrow([tbl.slice(a, b - a) for a, b in zip(cuts, cuts[1:])])
+    if sparse:
+        ds = ds.repartition(8).groupby(val).map_groups(
+            lambda g: g, batch_format="pyarrow"
+        )
+    return tbl, ds
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    _JOIN_ROWS,
+    _JOIN_ROWS,
+    st.sampled_from(["inner", "left_outer", "left_semi", "full_outer"]),
+    st.booleans(),  # cap 0: force the shuffle path
+    st.booleans(),  # right key under another name
+    st.integers(1, 3),
+    st.booleans(),  # left through a sparse groupby
+    st.booleans(),  # right through a sparse groupby
+)
+def test_join_matches_pyarrow_join(
+    ray_session, lrows, rrows, how, cap0, rename, n_blocks, lsparse, rsparse
+):
+    """util.join ≡ pyarrow Table.join of the concatenated inputs as a row
+    multiset with the same columns, on every path: zero-row sides,
+    broadcast (default cap) and shuffle (cap 0), duplicate and null keys,
+    a differently named right key, and schema-less blocks from a sparse
+    groupby on either side."""
+    import pytest
+    import ray
+
+    from sharesci_ray.pipelines import util
+
+    rk = "rk" if rename else "k"
+    ltbl, left = _join_side(lrows, "k", "lv", n_blocks, lsparse)
+    rtbl, right = _join_side(rrows, rk, "rv", n_blocks, rsparse)
+    want = ltbl.join(rtbl, join_type=how.replace("_", " "), keys="k", right_keys=rk)
+    with pytest.MonkeyPatch.context() as m:
+        if cap0:
+            m.setattr(util, "BROADCAST_CAP_BYTES", 0)
+        got = util.join(left, right, ("k",), how, want.schema,
+                        right_on=(rk,) if rename else None)
+        blocks = [b for b in ray.get(got.to_arrow_refs()) if b.num_columns]
+    assert all(b.column_names == want.column_names for b in blocks)
+    got_rows = sorted(
+        (tuple(r) for b in blocks for r in zip(*b.to_pydict().values())), key=repr
+    )
+    want_rows = sorted(zip(*want.to_pydict().values()), key=repr)
+    assert got_rows == want_rows

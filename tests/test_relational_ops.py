@@ -927,17 +927,34 @@ def test_snapshot_diff_classes(ray_session):
     assert set(-added["doc_id"] - 1) <= set(rest["doc_id"])
 
 
-def test_size_gated_broadcasts_join_path_identical(ray_session, monkeypatch):
-    """VERDICT r4 #2 'done' criterion: with the broadcast cap forced to 0,
-    the scale-proportional dimension tables (filtered part, supplier) must
-    route through native hash joins — and produce output identical to the
-    broadcast plan for all three TPC-H shapes."""
+def test_size_gated_broadcasts_join_path_identical(
+    ray_session, monkeypatch, tmp_path
+):
+    """util.join's broadcast path (default cap) and its shuffle path (cap
+    0) give identical output: the three TPC-H shapes that join filtered
+    dimensions (exact row order, they sort), and one converted op per
+    module as a row multiset — near_dup_jaccard (ops_dedup), a left_outer
+    op, a full_outer op and the training-shard export's join."""
+    import json
+
     import sharesci_ray.pipelines.util as U
+    from sharesci_ray.pipelines.export import write_training_shards
+    from sharesci_ray.pipelines.ops_dedup import near_dup_jaccard
     from sharesci_ray.pipelines.ops_relational import (
         min_cost_supplier,
         product_profit,
+        rich_inactive_customers,
+        snapshot_diff,
         window_heavy_suppliers,
     )
+
+    def rows(x):  # a Dataset or a pa.Table, as a sorted row list
+        return sorted(x.to_pandas().itertuples(index=False, name=None), key=repr)
+
+    def export(out: str):
+        write_training_shards(sf, out)
+        with open(f"{out}/manifest.json") as f:
+            return json.load(f)["shards"]
 
     sf = "/root/testdata/sf0.01"  # sf0.001 has no NATION_9 suppliers (Q20 empty)
     for fn in (min_cost_supplier, product_profit, window_heavy_suppliers):
@@ -947,3 +964,12 @@ def test_size_gated_broadcasts_join_path_identical(ray_session, monkeypatch):
         b = fn(sf)
         assert a.num_rows > 0, fn.__name__
         assert a.equals(b), fn.__name__
+    for fn in (near_dup_jaccard, rich_inactive_customers, snapshot_diff):
+        monkeypatch.setattr(U, "BROADCAST_CAP_BYTES", 32 << 20)
+        a = rows(fn(sf))
+        monkeypatch.setattr(U, "BROADCAST_CAP_BYTES", 0)
+        assert a and a == rows(fn(sf)), fn.__name__
+    monkeypatch.setattr(U, "BROADCAST_CAP_BYTES", 32 << 20)
+    a = export(str(tmp_path / "bcast"))
+    monkeypatch.setattr(U, "BROADCAST_CAP_BYTES", 0)
+    assert a and a == export(str(tmp_path / "shuffle"))

@@ -16,6 +16,12 @@ Usage:
     python tools/parity_sweep.py --out CORRECTNESS_full_r06.json
     python tools/parity_sweep.py --out X.json --resume X.json
     python tools/parity_sweep.py --sf-dir /root/testdata/sf0.1 --only bm25_topk
+    PYTHONPATH=../other-checkout python tools/parity_sweep.py --out X.json
+
+Every op's record carries ``wall_s``, the wall of its engine call (not the
+oracle's); the summary line sums them over the registry.  The package comes
+from ``PYTHONPATH`` when that holds a checkout, else from this tool's own
+checkout, so one copy of the tool can time two checkouts on one host.
 
 Owns its Ray session (CLI entry point); __ray_entry__ itself never inits.
 """
@@ -87,7 +93,8 @@ def run_sweep(
 ) -> dict:
     import duckdb
 
-    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    # appended, so a checkout on PYTHONPATH takes precedence
+    sys.path.append(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     import __ray_entry__ as e
 
     con = duckdb.connect()
@@ -108,10 +115,14 @@ def run_sweep(
             continue
         rec = {
             "rows_match": False, "schema_match": False, "hash_match": False,
-            "spark_rows": None, "oracle_rows": None, "err": None,
+            "spark_rows": None, "oracle_rows": None, "err": None, "wall_s": None,
         }
         try:
-            got = _to_pandas(queries[name](sf_dir))
+            t_op = time.perf_counter()
+            try:
+                got = _to_pandas(queries[name](sf_dir))
+            finally:
+                rec["wall_s"] = round(time.perf_counter() - t_op, 3)
             rec["spark_rows"] = int(len(got))
             if name in rows_only:
                 # engine-only stress row: the SQL twin is super-linear
@@ -143,9 +154,10 @@ def run_sweep(
             # .partial file, which --resume accepts
             _dump(out, out_path + ".partial")
     ok = sum(1 for r in out.values() if r["hash_match"] and not r["err"])
+    walls = sum(r.get("wall_s") or 0.0 for r in out.values())
     print(
-        f"sweep: {ok}/{len(names)} green in {time.time() - t0:.0f}s "
-        f"(sf_dir={sf_dir})",
+        f"sweep: {ok}/{len(names)} green in {time.time() - t0:.0f}s, "
+        f"registry wall {walls:.1f}s (sf_dir={sf_dir})",
         file=sys.stderr,
     )
     if out_path and len(out) == len(names):  # every requested op has a result
