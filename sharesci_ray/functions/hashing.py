@@ -1,9 +1,9 @@
-"""Content hashing kernels (SURVEY.md M1/U2): per-row sha256, the
-polynomial term hash, stable token hashes, SimHash and exact Jaccard.  The
-MinHash/LSH kernels live in ``functions/dedup.py``.
+"""Content hashing kernels (SURVEY.md M1/U2): per-row sha256 and the
+polynomial term hash.  The MinHash/LSH and SimHash kernels live in
+``functions/dedup.py``.
 
 Pure functions over Arrow/numpy batches; no Ray imports.  (ref: n/a,
-SURVEY.md §0 — reference checkout empty; SimHash per Charikar STOC 2002.)
+SURVEY.md §0 — reference checkout empty.)
 """
 
 from __future__ import annotations
@@ -80,52 +80,3 @@ def polyhash_column(col: pa.Array | pa.ChunkedArray) -> np.ndarray:
     # mix in length so "a" and "a\0"-style degeneracies differ
     return out ^ (lens.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15))
 
-
-def _hash_tokens_u64(tokens: pa.Array) -> np.ndarray:
-    """Stable 64-bit hash per string token, vectorized-ish via bytes join.
-
-    Uses blake2b(digest_size=8) per UNIQUE token (vocabulary-sized Python
-    work); per-occurrence fan-out is one vectorized index_in + numpy gather
-    (VERDICT r3 #8: no to_pylist / per-occurrence dict lookups).
-    """
-    if len(tokens) == 0:
-        return np.empty(0, dtype=np.uint64)
-    uniq = pc.unique(tokens)
-    h_uniq = np.fromiter(
-        (
-            int.from_bytes(
-                hashlib.blake2b(t.as_py().encode("utf-8"), digest_size=8).digest(),
-                "little",
-            )
-            for t in uniq
-        ),
-        dtype=np.uint64,
-        count=len(uniq),
-    )
-    idx = pc.index_in(tokens, value_set=uniq).to_numpy(zero_copy_only=False)
-    return h_uniq[idx]
-
-
-def simhash(token_hash_arr: np.ndarray, weights: np.ndarray | None = None) -> int:
-    """64-bit SimHash over token hashes (Charikar 2002). Vectorized bit votes."""
-    if token_hash_arr.size == 0:
-        return 0
-    bits = ((token_hash_arr[:, None] >> np.arange(64, dtype=np.uint64)[None, :]) & np.uint64(1)).astype(np.int64)
-    votes = bits * 2 - 1
-    if weights is not None:
-        votes = votes * weights[:, None].astype(np.int64)
-    v = votes.sum(axis=0)
-    out = np.uint64(0)
-    for i in range(64):
-        if v[i] > 0:
-            out |= np.uint64(1) << np.uint64(i)
-    return int(out)
-
-
-def jaccard(a: np.ndarray, b: np.ndarray) -> float:
-    """Exact Jaccard over two shingle-hash sets."""
-    sa, sb = np.unique(a), np.unique(b)
-    if sa.size == 0 and sb.size == 0:
-        return 1.0
-    inter = np.intersect1d(sa, sb, assume_unique=True).size
-    return inter / float(sa.size + sb.size - inter)

@@ -66,12 +66,16 @@ def partial_topk(k: int, schema: pa.Schema = PARTIAL_SCHEMA, dedupe: bool = Fals
     """Decorator: a scoring closure ``batch -> (keys, ids, scores,
     *carried)`` (flat candidate columns in ``schema``'s order, or None when
     the batch has no candidates) becomes a map_batches fn that emits at
-    most k rows per key as a ``schema`` table.  0-row batches never reach
-    the closure."""
+    most k rows per key as a ``schema`` table.
+
+    No map fn in this package tests for zero rows: Ray's ``map_batches``
+    passes a 0-row block through without calling the fn, and
+    ``map_groups`` calls it only on non-empty groups
+    (``tests/test_property.py`` pins both)."""
 
     def wrap(score):
         def fn(batch: pa.Table) -> pa.Table:
-            cols = score(batch) if batch.num_rows else None
+            cols = score(batch)
             if cols is None:
                 return schema.empty_table()
             rows, _ = _cut(cols[0], cols[1], cols[2], k, dedupe)
@@ -96,8 +100,6 @@ def final_topk(
     ``(key, rank, id, *carried)``: ``rank`` is numbered 1..k in the
     schema's type, every other column is taken from ``group`` by name.
     ``score`` names the ranking column (carried only if in ``schema``)."""
-    if group.num_rows == 0:
-        return schema.empty_table()
     key, _, id_col = schema.names[:3]
     keys, ids, scores = (
         group[c].to_numpy(zero_copy_only=False) for c in (key, id_col, score)

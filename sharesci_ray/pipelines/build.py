@@ -387,8 +387,6 @@ def _terms_to_buckets(t: pa.Table, n_buckets: int) -> pa.Table:
     terms = t["terms"]
     terms = terms.combine_chunks() if isinstance(terms, pa.ChunkedArray) else terms
     flat = pc.unique(pc.list_flatten(terms))
-    if len(flat) == 0:
-        return pa.schema([("bucket", pa.int32())]).empty_table()
     b = (polyhash_column(flat) % np.uint64(n_buckets)).astype(np.int32)
     return pa.table({"bucket": pa.array(np.unique(b))})
 
@@ -449,8 +447,6 @@ def _segments_to_postings_fn(dead: np.ndarray, min_dead_id: int, positions: bool
     schema = _postings_schema(positions)
 
     def decode(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return schema.empty_table()
         ids_parts, tf_parts, dl_parts, pos_parts, counts = [], [], [], [], []
         for i in range(t.num_rows):
             ids_parts.append(decode_docids(t["docids"][i].as_py()))

@@ -73,10 +73,6 @@ def _chunk_features(t: pa.Table) -> pa.Table:
     """chunk rows → + (n_tokens, h31) per chunk, both SQL-replayable:
     n_tokens = code-aware token count (== len(SQL_TOKENIZE)), h31 =
     md5-int60(chunk) mod P31."""
-    if t.num_rows == 0:
-        return t.append_column("n_tokens", pa.array([], pa.int64())).append_column(
-            "h31", pa.array([], pa.int64())
-        )
     _, parent = flat_tokens(t["chunk"])
     n_tokens = np.bincount(parent, minlength=t.num_rows).astype(np.int64)
     chunk_col = t["chunk"]
@@ -222,21 +218,7 @@ def write_training_shards(
     )
 
     # ---- manifest: per-shard aggregates (bounded: one row per shard) -------
-    _PART = pa.schema(
-        [
-            ("shard", pa.int64()),
-            ("doc_lo", pa.int64()),
-            ("doc_hi", pa.int64()),
-            ("n_chunks", pa.int64()),
-            ("n_chars", pa.int64()),
-            ("n_tokens", pa.int64()),
-            ("sig", pa.int64()),
-        ]
-    )
-
     def partials(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _PART.empty_table()
         g = (
             pa.table(
                 {

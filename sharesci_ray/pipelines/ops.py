@@ -481,8 +481,6 @@ def bm25_topk_page2(sf_dir: str):
     res = run_queries(build_dir, ray.data.from_arrow(q_tbl), k=20, scorer="bmw")
 
     def page(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return t
         return t.filter(pc.greater_equal(t["rank"], 11))
 
     return _remap_to_docids(
@@ -557,8 +555,6 @@ def bm25_topk_snippets(sf_dir: str):
 
     def extract(batch: pa.Table) -> pa.Table:
         t = batch.filter(pc.is_in(batch["doc_id"], value_set=keys))
-        if t.num_rows == 0:
-            return out_schema.empty_table()
         qids, ranks, dids, snips = [], [], [], []
         for did, text in zip(t["doc_id"].to_pylist(), t["text"].to_pylist()):
             hay = text.lower()
@@ -1150,8 +1146,6 @@ def tfidf_cosine_topk(sf_dir: str):
     )
 
     def topk(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return ranked.empty_table()
         num = group["num"].to_numpy(zero_copy_only=False)
         nrm = np.sqrt(group["sum(wsq)"].to_numpy(zero_copy_only=False))
         scored = group.append_column("score", pa.array(num / nrm))
@@ -1427,8 +1421,6 @@ def bm25_explain(sf_dir: str):
     docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
 
     def partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _PART.empty_table()
         docs_np, terms = ray.get(ref)
         term_set = pa.array(terms, pa.string())
         flat, parent = flat_tokens(t["text"])

@@ -109,8 +109,6 @@ def _emit_pairs_bucket(
     pre-pass; the oracle SQL applies the same cap).  A pair co-bucketed
     under k distinct keys is emitted k times — downstream counts rely on
     it (Jaccard intersections) or dedupe (candidate sets)."""
-    if group.num_rows == 0:
-        return _PAIRS_SCHEMA.empty_table()
     ids, _order, starts, ends = _key_runs(group, key_cols, id_col)
     out_a, out_b = [], []
     for s, e in zip(starts, ends):  # multi-row true key groups only
@@ -131,12 +129,10 @@ def _emit_pairs_bucket(
     )
 
 
-def _with_fold(key_cols: list[str], schema: pa.Schema, n_buckets: int):
+def _with_fold(key_cols: list[str], n_buckets: int):
     """map_batches fn appending the int64 ``fold`` shuffle key."""
 
     def add_fold(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return schema.empty_table()
         cols = [
             t[c].to_numpy(zero_copy_only=False).astype(np.int64) for c in key_cols
         ]
@@ -209,16 +205,8 @@ def dedup_minhash_lsh(sf_dir: str, cap: int = dd.LSH_BUCKET_CAP):
 
     band_ds = docs.map_batches(bands, batch_format="pyarrow", zero_copy_batch=True)
 
-    _BAND_SCHEMA = pa.schema(
-        [
-            ("doc_id", pa.int64()),
-            ("band", pa.int32()),
-            ("band_key", pa.int64()),
-            ("fold", pa.int64()),
-        ]
-    )
     folded = band_ds.map_batches(
-        _with_fold(["band", "band_key"], _BAND_SCHEMA, _fold_count()),
+        _with_fold(["band", "band_key"], _fold_count()),
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
@@ -284,10 +272,6 @@ def near_dup_jaccard(sf_dir: str, cap: int = dd.SHINGLE_DF_CAP):
 
     def distinct_shingles(batch: pa.Table) -> pa.Table:
         sh, parent = dd.token_shingles(batch["text"])
-        if not len(sh):
-            return pa.table(
-                {"doc_id": pa.array([], pa.int64()), "h31": pa.array([], pa.int64())}
-            )
         h31 = dd.hash_strings(sh) % dd.P31
         ids = batch["doc_id"].to_numpy(zero_copy_only=False)[parent]
         return (
@@ -334,10 +318,6 @@ def near_dup_jaccard(sf_dir: str, cap: int = dd.SHINGLE_DF_CAP):
         pa.schema([("doc_id", pa.int64()), ("count()", pa.int64())]),
     )  # (doc_id, count())
 
-    _HS_SCHEMA = pa.schema(
-        [("doc_id", pa.int64()), ("h31", pa.int64()), ("fold", pa.int64())]
-    )
-
     # Intersection lower bound (sf1 stress finding, r5): jac ≥ J forces
     # inter·(1+J) ≥ J·(n_a+n_b) ≥ J·2·n_min, so pairs below the bound can
     # NEVER pass the final filter and are dropped at the count — on a
@@ -353,11 +333,6 @@ def near_dup_jaccard(sf_dir: str, cap: int = dd.SHINGLE_DF_CAP):
     _PFOLD = _fold_count()
 
     def add_pair_fold(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.schema(
-                [("doc_a", pa.int64()), ("doc_b", pa.int64()),
-                 ("pfold", pa.int64())]
-            ).empty_table()
         a = t["doc_a"].to_numpy(zero_copy_only=False).astype(np.int64)
         b = t["doc_b"].to_numpy(zero_copy_only=False).astype(np.int64)
         return t.append_column(
@@ -376,8 +351,6 @@ def near_dup_jaccard(sf_dir: str, cap: int = dd.SHINGLE_DF_CAP):
         group_by per bucket (the dedup-family fold pattern): the 2-column
         global sort-aggregate this replaces serialized its reduce phase at
         sf1's 126M pair instances."""
-        if g.num_rows == 0:
-            return _PC_SCHEMA.empty_table()
         t = (
             pa.table({"doc_a": g["doc_a"], "doc_b": g["doc_b"]})
             .group_by(["doc_a", "doc_b"])
@@ -388,7 +361,7 @@ def near_dup_jaccard(sf_dir: str, cap: int = dd.SHINGLE_DF_CAP):
 
     pair_counts = (
         hs.map_batches(
-            _with_fold(["h31"], _HS_SCHEMA, _fold_count()),
+            _with_fold(["h31"], _fold_count()),
             batch_format="pyarrow",
             zero_copy_batch=True,
         )
@@ -746,8 +719,6 @@ def dedup_simhash(sf_dir: str):
         inside one fold bucket — pairwise xor + SWAR popcount per run; one
         Python call per BUCKET (bounded), not per near-singleton chunk
         group (the round-2 scheduling-bound shape)."""
-        if group.num_rows == 0:
-            return _EMIT_SCHEMA.empty_table()
         ids, order, starts, ends = _key_runs(group, ["chunk_idx", "chunk_val"], "doc_id")
         sh = group["simhash"].to_numpy(zero_copy_only=False)[order]
         out_a, out_b, out_h = [], [], []
@@ -1278,8 +1249,6 @@ def near_dup_embedding(sf_dir: str, exact_scan: bool = False):
     )
 
     def occ_partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _OCC_SCHEMA.empty_table()
         q = _quantize(_embedding_matrix(t))
         tids, bks, cnts = [], [], []
         for tb in range(_LSH_TABLES):
@@ -1317,18 +1286,7 @@ def near_dup_embedding(sf_dir: str, exact_scan: bool = False):
     if est_pairs > _CAND_PAIR_CUTOFF and est_pairs > (n_vec * n_vec) / 8.0:
         return _near_dup_verify_first(sf_dir)
 
-    _EXP_SCHEMA = pa.schema(
-        [
-            ("vec_id", pa.int64()),
-            ("table_id", pa.int64()),
-            ("bucket", pa.int64()),
-            ("fold", pa.int64()),
-        ]
-    )
-
     def exp_buckets(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.schema(list(_EXP_SCHEMA)[:3]).empty_table()
         ids = t["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         q = _quantize(_embedding_matrix(t))
         vids, tids, bks = [], [], []
@@ -1352,7 +1310,7 @@ def near_dup_embedding(sf_dir: str, exact_scan: bool = False):
         exp_buckets, batch_format="pyarrow", zero_copy_batch=True
     )
     folded = exp.map_batches(
-        _with_fold(["table_id", "bucket"], _EXP_SCHEMA, _fold_count()),
+        _with_fold(["table_id", "bucket"], _fold_count()),
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
@@ -1411,8 +1369,6 @@ def near_dup_embedding(sf_dir: str, exact_scan: bool = False):
     _OUT_SCHEMA = pa.schema([("vec_a", pa.int64()), ("vec_b", pa.int64())])
 
     def verify(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _OUT_SCHEMA.empty_table()
         cos = (_bin_mat(t["emb_a"]) * _bin_mat(t["embedding"])).sum(axis=1)
         return (
             t.select(["vec_a", "vec_b"])
@@ -1616,15 +1572,11 @@ def benchmark_contamination(sf_dir: str):
         Distinctness is per batch row == per document (a doc never spans
         rows), via one np.unique over the fused (row << 31 | h31) key."""
         sh, parent = dd.token_shingles(batch["text"])
-        if len(sh) == 0:
-            return np.empty(0, np.int64), np.empty(0, np.int64)
         h31 = dd.hash_strings(sh) % dd.P31
         fused = np.unique((parent.astype(np.int64) << 31) | h31)
         return fused >> 31, fused & ((1 << 31) - 1)
 
     def bench_partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.schema([("h31", pa.int64())]).empty_table()
         _, h31 = doc_shingle_h31(batch)
         return pa.table({"h31": pa.array(np.unique(h31), pa.int64())})
 
@@ -1643,11 +1595,9 @@ def benchmark_contamination(sf_dir: str):
     def scan(batch: pa.Table) -> pa.Table:
         bs = ray.get(ref)
         t = batch.filter(pc.greater_equal(batch["doc_id"], _CONTAM_BENCH_DOCS))
-        if t.num_rows == 0 or bs.size == 0:
+        if bs.size == 0:
             return out_schema.empty_table()
         rows, h31 = doc_shingle_h31(t)
-        if rows.size == 0:
-            return out_schema.empty_table()
         hit = np.isin(h31, bs)  # bs sorted → binary-search path
         cnt = np.zeros(t.num_rows, dtype=np.int64)
         np.add.at(cnt, rows[hit], 1)
@@ -1799,8 +1749,6 @@ def clean_corpus(sf_dir: str):
     def hash_and_gate(batch: pa.Table) -> pa.Table:
         import hashlib as _h
 
-        if batch.num_rows == 0:
-            return _GATED.empty_table()
         _, parent = flat_tokens(batch["text"])
         toks_per_row = np.bincount(parent, minlength=batch.num_rows).astype(
             np.int64
@@ -1835,10 +1783,6 @@ def clean_corpus(sf_dir: str):
     ).materialize()  # two consumers below — hash/tokenize once
 
     def min_partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.schema(
-                [("h", pa.string()), ("doc_id", pa.int64())]
-            ).empty_table()
         g = (
             pa.table({"h": t["h"], "doc_id": t["doc_id"]})
             .group_by("h")
@@ -1882,8 +1826,6 @@ def clean_corpus(sf_dir: str):
     )
 
     def decide(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _OUT.empty_table()
         did = pc.cast(t["doc_id"], pa.int64()).to_numpy(zero_copy_only=False)
         first = t["first_id"].to_numpy(zero_copy_only=False)
         clus = t["cluster_id"].to_numpy(zero_copy_only=False)
@@ -1958,11 +1900,6 @@ def cross_source_dup_pairs(sf_dir: str):
     )
 
     def tag_a(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.schema(
-                [("doc_a", pa.int64()), ("doc_b", pa.int64()),
-                 ("jaccard", pa.float64()), ("source_a", pa.string())]
-            ).empty_table()
         return pa.table(
             {"doc_a": t["doc_a"], "doc_b": t["doc_b"],
              "jaccard": t["jaccard"], "source_a": t["source"]}
@@ -1981,8 +1918,6 @@ def cross_source_dup_pairs(sf_dir: str):
     )
 
     def finish(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _OUT.empty_table()
         t = t.filter(pc.not_equal(t["source_a"], t["source"]))
         return pa.table(
             {
@@ -2146,8 +2081,6 @@ def _span_windows(t: pa.Table) -> pa.Table:
     """(doc_id, text) batch → one row per K-token window: (doc_id,
     1-based start, gram text) — token_shingles' windowing with the
     in-document start position retained (the SQL twin's ``s``)."""
-    if t.num_rows == 0:
-        return _SPAN_WIN.empty_table()
     K = _SPAN_K
     flat, parent = flat_tokens(t["text"])
     n = len(flat)
@@ -2202,8 +2135,6 @@ def dedup_spans(sf_dir: str):
 
     def df_partial(t: pa.Table) -> pa.Table:
         w = _span_windows(t)
-        if w.num_rows == 0:
-            return _SPAN_DFP.empty_table()
         per_doc = (
             pa.table({"gh": w["gh"], "doc_id": w["doc_id"]})
             .group_by(["gh", "doc_id"])
@@ -2245,8 +2176,6 @@ def dedup_spans(sf_dir: str):
         # comma-joined string via sort + ListArray offsets + binary_join.
         # Starts are globally unique per doc (one row per window), so the
         # cross-block merge is plain concatenation — no dedup needed.
-        if t.num_rows == 0:
-            return _SPAN_COV.empty_table()
         t = t.take(pc.sort_indices(t, sort_keys=[("doc_id", "ascending")]))
         ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         uniq, counts = np.unique(ids, return_counts=True)
@@ -2263,8 +2192,6 @@ def dedup_spans(sf_dir: str):
 
     def merge_covs(g: pa.Table) -> pa.Table:
         # per-group work is O(blocks touching this doc) string joins
-        if g.num_rows == 0:
-            return _SPAN_COV.empty_table()
         return pa.table(
             {
                 "doc_id": pa.array([g["doc_id"][0].as_py()], pa.int64()),
@@ -2284,8 +2211,6 @@ def dedup_spans(sf_dir: str):
     )
 
     def finalize(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _SPAN_OUT.empty_table()
         n_rows = t.num_rows
         flat, parent = flat_tokens(t["text"])
         n_tok = np.zeros(n_rows, dtype=np.int64)
@@ -2457,8 +2382,6 @@ def distinct_shingles_hll(sf_dir: str):
 
     def partial(t: pa.Table) -> pa.Table:
         grams, _ = dd.token_shingles(t["text"])
-        if not len(grams):
-            return _HLL_PART.empty_table()
         reg, rho = _hll_reg_rho(dd.hash_strings(grams))
         regs = np.zeros(M, dtype=np.int64)
         np.maximum.at(regs, reg, rho)
@@ -2584,8 +2507,6 @@ def term_counts_cms(sf_dir: str):
 
     def partial(t: pa.Table) -> pa.Table:
         flat, _ = flat_tokens(t["text"])
-        if not len(flat):
-            return _CMS_PART.empty_table()
         g = (
             pa.table({"term": flat})
             .group_by("term")
@@ -2731,8 +2652,6 @@ def source_overlap_hll(sf_dir: str):
     docs = read_table(sf_dir, "documents", columns=["source", "text"])
 
     def partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _OVL_PART.empty_table()
         src_col = t["source"]
         if isinstance(src_col, pa.ChunkedArray):
             src_col = src_col.combine_chunks()

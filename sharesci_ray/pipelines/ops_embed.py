@@ -100,8 +100,6 @@ class HashEmbedder:
 
     def __call__(self, t: pa.Table) -> pa.Table:
         n = t.num_rows
-        if n == 0:
-            return _EMB_SCHEMA.empty_table()
         flat, parent = flat_tokens(t[self.text_col])
         v = np.zeros((n, self.dim), dtype=np.int64)
         if len(flat):
@@ -202,8 +200,6 @@ def embed_documents(sf_dir: str):
 
     def explode(t: pa.Table) -> pa.Table:
         n = t.num_rows
-        if n == 0:
-            return _FLAT_SCHEMA.empty_table()
         col = t["embedding"]
         if isinstance(col, pa.ChunkedArray):
             col = col.combine_chunks()
@@ -418,15 +414,6 @@ def build_vector_index(
     cent_ref = ray.put(cent_q)
 
     def assign(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.schema(
-                [
-                    ("vec_id", pa.int64()),
-                    ("embedding", t.schema.field("embedding").type),
-                    ("cid", pa.int64()),
-                    ("list_id", pa.int64()),
-                ]
-            ).empty_table()
         cids = _ivf_assign(_quantize(_embedding_matrix(t)), ray.get(cent_ref))
         t = t.select(["vec_id", "embedding"])
         t = t.append_column("cid", pa.array(cids, pa.int64()))
@@ -535,15 +522,6 @@ def update_vector_index(index_dir: str, new_vectors: "ray.data.Dataset") -> dict
     cent_ref = ray.put(cent_q)
 
     def assign(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.schema(
-                [
-                    ("vec_id", pa.int64()),
-                    ("embedding", t.schema.field("embedding").type),
-                    ("cid", pa.int64()),
-                    ("list_id", pa.int64()),
-                ]
-            ).empty_table()
         cids = _ivf_assign(_quantize(_embedding_matrix(t)), ray.get(cent_ref))
         t = t.select(["vec_id", "embedding"])
         t = t.append_column("cid", pa.array(cids, pa.int64()))
@@ -611,7 +589,7 @@ def _load_tombstones(index_dir: str, meta: dict) -> "np.ndarray":
 
 
 def _drop_tombstoned(t: pa.Table, tombs: "np.ndarray") -> pa.Table:
-    if tombs.size == 0 or t.num_rows == 0:
+    if tombs.size == 0:
         return t
     return t.filter(
         pc.invert(pc.is_in(t["vec_id"], value_set=pa.array(tombs, pa.int64())))
@@ -964,17 +942,6 @@ def build_lsh_index(
     )
 
     def explode(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.schema(
-                [
-                    ("vec_id", pa.int64()),
-                    ("embedding", batch.schema.field("embedding").type),
-                    ("t_id", pa.int64()),
-                    ("bkt", pa.int64()),
-                    ("table_id", pa.int64()),
-                    ("bucket", pa.int64()),
-                ]
-            ).empty_table()
         m = _quantize(_embedding_matrix(batch))
         n = batch.num_rows
         buckets = np.concatenate(
@@ -1223,8 +1190,6 @@ class VectorScorerActor:
         return self._lists[cid]
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return tk.TOPK_SCHEMA.empty_table()
         q_ids = batch["query_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         q_raw = _embedding_matrix(batch)
         q_mat = _normalize(q_raw)
@@ -1423,15 +1388,6 @@ def knn_graph_ivf(sf_dir: str):
     ds = ray.data.read_parquet(paths, columns=["vec_id", "embedding", "list_id"])
 
     def explode_roles(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.schema(
-                [
-                    ("cid", pa.int64()),
-                    ("role", pa.int64()),
-                    ("vec_id", pa.int64()),
-                    ("embedding", batch.schema.field("embedding").type),
-                ]
-            ).empty_table()
         n = batch.num_rows
         dots = _quantize(_embedding_matrix(batch)) @ ray.get(cent_ref).T
         # ties -> smaller cid: stable argsort on -dots (SQL: d DESC, cid)
@@ -1528,11 +1484,6 @@ def _pq_train(sf_dir: str) -> np.ndarray:
         cb_now = cb
 
         def partial(t: pa.Table) -> pa.Table:
-            if t.num_rows == 0:
-                return pa.schema(
-                    [("m", pa.int64()), ("cid", pa.int64()), ("n", pa.int64())]
-                    + [(c, pa.int64()) for c in _PQ_PART_COLS]
-                ).empty_table()
             quant = vx.quantize(_embedding_matrix(t))
             codes = vx.pq_encode(quant, cb_now)
             out_m, out_c, out_n = [], [], []
@@ -1840,12 +1791,6 @@ def build_pq_index(
     refs = ray.put((cent_q, cb))
 
     def encode(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.schema(
-                [("vec_id", pa.int64())]
-                + [(c, pa.int64()) for c in _PQ_CODE_COLS]
-                + [("cid", pa.int64()), ("list_id", pa.int64())]
-            ).empty_table()
         cq, cbk = ray.get(refs)
         quant = _quantize(_embedding_matrix(t))
         lists = _ivf_assign(quant, cq)
@@ -2142,11 +2087,6 @@ def cluster_top_terms(sf_dir: str):
 
     def partials(cq: np.ndarray):
         def fn(batch: pa.Table) -> pa.Table:
-            if batch.num_rows == 0:
-                return pa.schema(
-                    [("cid", pa.int64()), ("n", pa.int64())]
-                    + [(c, pa.int64()) for c in _CTT_PART_COLS]
-                ).empty_table()
             quant = vx.quantize(vx.embedding_matrix(batch))
             asg = vx.ivf_assign(quant, cq)
             cids = np.unique(asg)
@@ -2183,10 +2123,6 @@ def cluster_top_terms(sf_dir: str):
     final = cent_q
 
     def assign(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.schema(
-                [("doc_id", pa.int64()), ("cluster_id", pa.int64())]
-            ).empty_table()
         quant = vx.quantize(vx.embedding_matrix(batch))
         return pa.table(
             {
@@ -2217,8 +2153,6 @@ def cluster_top_terms(sf_dir: str):
     )
 
     def term_partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _CTT_TC.empty_table()
         flat, parent = flat_tokens(t["text"])
         cl = t["cluster_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         g = (
@@ -2238,8 +2172,6 @@ def cluster_top_terms(sf_dir: str):
     def batch_topk(t: pa.Table) -> pa.Table:
         # per-batch partial top-k per cluster: only K×TOP rows per block
         # survive into the final merge (top_terms_per_lang's cap rule)
-        if t.num_rows == 0:
-            return _CTT_TC.empty_table()
         out = []
         for cid in pc.unique(t["cluster_id"]).to_pylist():
             sub = t.filter(pc.equal(t["cluster_id"], cid))
@@ -2250,8 +2182,6 @@ def cluster_top_terms(sf_dir: str):
         return pa.concat_tables(out).cast(_CTT_TC)
 
     def merge(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            return _CTT_OUT.empty_table()
         n = g["n_occurrences"].to_numpy(zero_copy_only=False)
         terms = g["term"].to_pylist()
         order = sorted(range(len(terms)), key=lambda i: (-n[i], terms[i]))[:_CTT_TOP]

@@ -127,11 +127,6 @@ def _km_partials(cent_q: np.ndarray):
     combiner that keeps the per-round shuffle at K rows per block."""
 
     def fn(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.schema(
-                [("cid", pa.int64()), ("n", pa.int64())]
-                + [(c, pa.int64()) for c in _KM_PARTIAL_COLS]
-            ).empty_table()
         quant = vx.quantize(vx.embedding_matrix(batch))
         asg = vx.ivf_assign(quant, cent_q)
         cids = np.unique(asg)
@@ -195,10 +190,6 @@ def kmeans_embeddings(sf_dir: str):
     final = cent_q
 
     def assign(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.schema(
-                [("vec_id", pa.int64()), ("cluster_id", pa.int64())]
-            ).empty_table()
         quant = vx.quantize(vx.embedding_matrix(batch))
         return pa.table(
             {
@@ -281,8 +272,6 @@ def range_merge_group(group: pa.Table) -> pa.Table:
     their cents, then two searchsorted calls bound each purchase's
     (ts − 1h, ts] window.  Module-level so the kernel is property-testable
     against a brute-force reference without a Ray pipeline around it."""
-    if group.num_rows == 0:
-        return _RANGE_SCHEMA.empty_table()
     side = group["is_left"].to_numpy(zero_copy_only=False)
     ts = group["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
     cents = group["cents"].to_numpy(zero_copy_only=False)
@@ -351,11 +340,6 @@ def split_by_cluster(sf_dir: str):
     labels = dedup_cluster(sf_dir)
 
     def tag(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.schema(
-                [("doc_id", pa.int64()), ("cluster_id", pa.int64()),
-                 ("split", pa.string())]
-            ).empty_table()
         h = dd.hash_strings(pc.cast(batch["cluster_id"], pa.string())) % 100
         split = np.where(
             h < _SPLIT_TRAIN, "train", np.where(h < _SPLIT_VALID, "valid", "test")
@@ -513,8 +497,6 @@ def balance_sources(sf_dir: str):
     src_n = np.array([n_by_src[s] for s in srcs], np.int64)
 
     def pick(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch
         h = dd.hash_strings(pc.cast(batch["doc_id"], pa.string()))
         idx = pc.index_in(batch["source"], value_set=src_set).to_numpy(
             zero_copy_only=False
@@ -608,8 +590,6 @@ def knn_label_vote(sf_dir: str):
     )
 
     def vote(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return _OUT.empty_table()
         top = tk.final_topk(group, dd.ANN_K, _TOP)  # exact top-k merge
         labs, counts = np.unique(top["label"].to_numpy(), return_counts=True)
         # majority; ties -> smallest label (np.unique sorts labels asc,
@@ -733,8 +713,6 @@ def label_propagation_knn(sf_dir: str):
     )
 
     def majority(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return _LAB.empty_table()
         lab = group["label"].to_numpy(zero_copy_only=False)
         labs, counts = np.unique(lab, return_counts=True)
         # np.unique sorts labels asc, argmax takes the first max —
@@ -852,14 +830,7 @@ def label_propagation_accuracy(sf_dir: str):
         ),
     )
 
-    _PART = pa.schema(
-        [("labeled_round", pa.int64()), ("n_nodes", pa.int64()),
-         ("n_correct", pa.int64())]
-    )
-
     def partials(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _PART.empty_table()
         ok = pc.cast(
             pc.equal(t["pred"], pc.cast(t["label"], pa.int64())), pa.int64()
         )

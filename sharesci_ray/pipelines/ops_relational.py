@@ -150,8 +150,6 @@ def asof_merge_group(group: pa.Table) -> pa.Table:
     right ``ts`` pre-resolved to max ``cents``.  Module-level so the
     kernel is property-testable against a brute-force reference without
     a Ray pipeline around it."""
-    if group.num_rows == 0:
-        return _ASOF_SCHEMA.empty_table()
     side = group["is_left"].to_numpy(zero_copy_only=False)
     ts = group["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
     cents = group["cents"].to_numpy(zero_copy_only=False)
@@ -213,11 +211,6 @@ def grouped_quantiles(sf_dir: str):
     ev = read_table(sf_dir, "events", columns=["event_type", "value"])
 
     def quantiles(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return pa.schema(
-                [("event_type", pa.string()), ("n", pa.int64())]
-                + [(name, pa.int64()) for name, _ in _QS]
-            ).empty_table()
         cents = np.sort(_cents(group["value"]).to_numpy(zero_copy_only=False))
         n = cents.size
         out = {
@@ -543,14 +536,10 @@ def revenue_by_nation(sf_dir: str):
 
     def local_in_region(t: pa.Table) -> pa.Table:
         out_schema = pa.schema([("n_name", pa.string()), ("rev", pa.int64())])
-        if t.num_rows == 0:
-            return out_schema.empty_table()
         c_nat = pc.cast(t["c_nationkey"], pa.int64())
         s_nat = pc.cast(t["s_nationkey"], pa.int64())
         keep = pc.and_(pc.equal(c_nat, s_nat), pc.is_in(s_nat, value_set=allowed))
         t = t.filter(keep)
-        if t.num_rows == 0:
-            return out_schema.empty_table()
         nat = pc.cast(t["s_nationkey"], pa.int64()).to_numpy(zero_copy_only=False)
         rev = t["rev"].to_numpy(zero_copy_only=False)
         # partial per-nation sums inside the batch: ≤ n_nations rows leave
@@ -663,8 +652,6 @@ def latest_event_per_user(sf_dir: str):
     )
 
     def argmax_rows(t: pa.Table, per_batch: bool) -> pa.Table:
-        if t.num_rows == 0:
-            return out_schema.empty_table()
         uid = t["user_id"].to_numpy(zero_copy_only=False)
         ts = t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
         eid = t["event_id"].to_numpy(zero_copy_only=False)
@@ -732,8 +719,6 @@ def rollup_event_counts(sf_dir: str):
         out_schema = pa.schema(
             [("event_type", pa.string()), ("hour", pa.int64()), ("n", pa.int64())]
         )
-        if t.num_rows == 0:
-            return out_schema.empty_table()
         hour = pc.cast(pc.hour(t["ts"]), pa.int64()).to_numpy(zero_copy_only=False)
         et = t["event_type"].to_numpy(zero_copy_only=False)
         types, tcodes = np.unique(et, return_inverse=True)
@@ -858,8 +843,6 @@ def above_avg_orders(sf_dir: str):
             [("o_orderkey", pa.int64()), ("o_custkey", pa.int64()),
              ("price_cents", pa.int64())]
         )
-        if t.num_rows == 0:
-            return out_schema.empty_table()
         keep = pc.greater(
             pc.multiply(t["price_cents"], t["n"]), t["sum_cents"]
         )
@@ -964,8 +947,6 @@ def rich_inactive_customers(sf_dir: str):
         out_schema = pa.schema(
             [("c_custkey", pa.int64()), ("acctbal_cents", pa.int64())]
         )
-        if t.num_rows == 0:
-            return out_schema.empty_table()
         t = t.filter(pc.is_null(t["count()"]))
         return pa.table(
             {"c_custkey": t["c_custkey"], "acctbal_cents": t["acctbal_cents"]},
@@ -1048,10 +1029,6 @@ def top_unshipped_orders(sf_dir: str):
 
     def rev_partial(t: pa.Table) -> pa.Table:
         t = t.filter(pc.greater(t["l_shipdate"], pa.scalar(cutoff)))
-        if t.num_rows == 0:
-            return pa.schema(
-                [("l_orderkey", pa.int64()), ("rev", pa.int64())]
-            ).empty_table()
         price_cents = _cents(t["l_extendedprice"]).to_numpy(zero_copy_only=False)
         disc_pct = _cents(t["l_discount"]).to_numpy(zero_copy_only=False)
         rev = price_cents * (100 - disc_pct)
@@ -1137,10 +1114,6 @@ def returned_items_report(sf_dir: str):
 
     def rev_partial(t: pa.Table) -> pa.Table:
         t = t.filter(pc.equal(t["l_returnflag"], "R"))
-        if t.num_rows == 0:
-            return pa.schema(
-                [("l_orderkey", pa.int64()), ("rev", pa.int64())]
-            ).empty_table()
         price_cents = _cents(t["l_extendedprice"]).to_numpy(zero_copy_only=False)
         disc_pct = _cents(t["l_discount"]).to_numpy(zero_copy_only=False)
         rev = price_cents * (100 - disc_pct)
@@ -1274,8 +1247,6 @@ def events_funnel(sf_dir: str):
     )
 
     def flags(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return _FLAGS.empty_table()
         et = group["event_type"].to_numpy(zero_copy_only=False)
         ts = group["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
         uid = int(group["user_id"][0].as_py())
@@ -1371,12 +1342,6 @@ def forecast_revenue_change(sf_dir: str):
             ),
         )
         k = t.filter(m)
-        if k.num_rows == 0:
-            return pa.table(
-                {"rev_e4": pa.array([0], pa.int64()),
-                 "n_items": pa.array([0], pa.int64())},
-                schema=_PART,
-            )
         cents = _cents(k["l_extendedprice"]).to_numpy(zero_copy_only=False)
         dpct = _cents(k["l_discount"]).to_numpy(zero_copy_only=False)
         return pa.table(
@@ -1456,10 +1421,6 @@ def promo_revenue_share(sf_dir: str):
                 pc.less(t["l_shipdate"], pa.scalar(hi)),
             )
         )
-        if t.num_rows == 0:
-            return pa.schema(
-                [("l_partkey", pa.int64()), ("rev", pa.int64())]
-            ).empty_table()
         cents = _cents(t["l_extendedprice"]).to_numpy(zero_copy_only=False)
         disc = _cents(t["l_discount"]).to_numpy(zero_copy_only=False)
         g = (
@@ -1493,8 +1454,6 @@ def promo_revenue_share(sf_dir: str):
     _PART = pa.schema([("promo", pa.int64()), ("total", pa.int64())])
 
     def share_partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _PART.empty_table()
         rev = t["rev_e4"].to_numpy(zero_copy_only=False)
         is_promo = pc.equal(t["p_type"], "PROMO").to_numpy(zero_copy_only=False)
         return pa.table(
@@ -1719,8 +1678,6 @@ def disjunctive_revenue(sf_dir: str):
     _PART = pa.schema([("rev_e4", pa.int64()), ("n_items", pa.int64())])
 
     def rev_partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _PART.empty_table()
         m = None
         for b, slo, shi, qlo, qhi in _Q19_CLAUSES:
             c = pc.and_(
@@ -1738,8 +1695,6 @@ def disjunctive_revenue(sf_dir: str):
             )
             m = c if m is None else pc.or_(m, c)
         k = t.filter(m)
-        if k.num_rows == 0:
-            return _PART.empty_table()
         cents = _cents(k["l_extendedprice"]).to_numpy(zero_copy_only=False)
         disc = _cents(k["l_discount"]).to_numpy(zero_copy_only=False)
         return pa.table(
@@ -1755,10 +1710,13 @@ def disjunctive_revenue(sf_dir: str):
     agg = joined.map_batches(
         rev_partial, batch_format="pyarrow", zero_copy_batch=True
     ).aggregate(Sum("rev_e4"), Sum("n_items"))
+    n_items = int(agg["sum(n_items)"] or 0)
+    # SQL's sum over no qualifying row is NULL, not 0
+    rev_e4 = int(agg["sum(rev_e4)"]) if n_items else None
     return pa.table(
         {
-            "rev_e4": pa.array([int(agg["sum(rev_e4)"] or 0)], pa.int64()),
-            "n_items": pa.array([int(agg["sum(n_items)"] or 0)], pa.int64()),
+            "rev_e4": pa.array([rev_e4], pa.int64()),
+            "n_items": pa.array([n_items], pa.int64()),
         }
     )
 
@@ -1812,8 +1770,6 @@ def customer_order_distribution(sf_dir: str):
     _HIST = pa.schema([("c_count", pa.int64()), ("one", pa.int64())])
 
     def hist_partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _HIST.empty_table()
         g = t.select(["c_count"]).group_by("c_count").aggregate([([], "count_all")])
         return pa.table(
             {"c_count": g["c_count"],
@@ -1897,10 +1853,6 @@ def top_supplier_revenue(sf_dir: str):
                 pc.less(t["l_shipdate"], pa.scalar(hi)),
             )
         )
-        if t.num_rows == 0:
-            return pa.schema(
-                [("l_suppkey", pa.int64()), ("rev", pa.int64())]
-            ).empty_table()
         cents = _cents(t["l_extendedprice"]).to_numpy(zero_copy_only=False)
         disc = _cents(t["l_discount"]).to_numpy(zero_copy_only=False)
         g = (
@@ -2039,14 +1991,7 @@ def nation_trade_volume(sf_dir: str):
         right_on=("s_suppkey",),
     )
 
-    _LPART = pa.schema(
-        [("l_orderkey", pa.int64()), ("supp_key", pa.int64()),
-         ("l_year", pa.int64()), ("rev", pa.int64())]
-    )
-
     def li_partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _LPART.empty_table()
         cents = _cents(t["l_extendedprice"]).to_numpy(zero_copy_only=False)
         disc = _cents(t["l_discount"]).to_numpy(zero_copy_only=False)
         g = (
@@ -2087,17 +2032,8 @@ def nation_trade_volume(sf_dir: str):
         right_on=("o_orderkey",),
     )
 
-    _GPART = pa.schema(
-        [("supp_key", pa.int64()), ("cust_key", pa.int64()),
-         ("l_year", pa.int64()), ("rev", pa.int64())]
-    )
-
     def direction_partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _GPART.empty_table()
         t = t.filter(pc.not_equal(t["supp_key"], t["c_nationkey"]))
-        if t.num_rows == 0:
-            return _GPART.empty_table()
         g = (
             pa.table(
                 {
@@ -2229,14 +2165,7 @@ def weekly_retention(sf_dir: str):
         ),
     )
 
-    _PART = pa.schema(
-        [("cohort_week", pa.timestamp("us")), ("week_offset", pa.int64()),
-         ("one", pa.int64())]
-    )
-
     def offset_partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _PART.empty_table()
         # Ray's groupby shuffle can downcast timestamps (us → s through its
         # numpy path) — normalize BOTH sides to epoch-us before the integer
         # subtraction, or the offsets mix units
@@ -2346,8 +2275,6 @@ def _covisit_pair_counts(sf_dir: str):
 
     def ui_partial(t: pa.Table) -> pa.Table:
         t = t.filter(pc.equal(t["event_type"], "view"))
-        if t.num_rows == 0:
-            return _UI.empty_table()
         extracted = pc.extract_regex(
             t["props"].combine_chunks(), pattern="(?P<i>[0-9]+)"
         )
@@ -2391,8 +2318,6 @@ def _covisit_pair_counts(sf_dir: str):
     pairs = ui.groupby("user_id").map_groups(emit_pairs, batch_format="pyarrow")
 
     def pair_partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _PAIRS.empty_table()
         g = t.group_by(["item_a", "item_b"]).aggregate([("one", "sum")])
         return g.rename_columns(["item_a", "item_b", "one"])
 
@@ -2538,8 +2463,6 @@ def item_pagerank(sf_dir: str):
 
     def symmetrize(t: pa.Table) -> pa.Table:
         t = t.filter(pc.greater(t["n_users"], thr))
-        if t.num_rows == 0:
-            return _EDGE.empty_table()
         a = t["item_a"].to_numpy(zero_copy_only=False)
         b = t["item_b"].to_numpy(zero_copy_only=False)
         return pa.table(
@@ -2679,8 +2602,6 @@ def covisit_triangles(sf_dir: str):
     _PART = pa.schema([("item", pa.int64()), ("cnt", pa.int64())])
 
     def tri_partial(t: pa.Table, _ref=state_ref) -> pa.Table:
-        if t.num_rows == 0:
-            return _PART.empty_table()
         it, A = ray.get(_ref)
         u = np.searchsorted(it, t["item_a"].to_numpy(zero_copy_only=False))
         v = np.searchsorted(it, t["item_b"].to_numpy(zero_copy_only=False))
@@ -2752,11 +2673,7 @@ def orders_monthly_growth(sf_dir: str):
     ops."""
     orders = read_table(sf_dir, "orders", columns=["o_orderdate", "o_totalprice"])
 
-    _PART = pa.schema([("month", pa.timestamp("us")), ("cents", pa.int64())])
-
     def partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _PART.empty_table()
         g = (
             pa.table(
                 {
@@ -2831,8 +2748,6 @@ def event_hour_anomalies(sf_dir: str):
     _PART = pa.schema([("hour", pa.timestamp("us")), ("n", pa.int64())])
 
     def partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _PART.empty_table()
         g = (
             pa.table({"hour": pc.floor_temporal(t["ts"], unit="hour")})
             .group_by("hour")
@@ -3017,8 +2932,6 @@ def small_qty_order_revenue(sf_dir: str):
     _PART = pa.schema([("rev_cents", pa.int64()), ("n_small", pa.int64())])
 
     def probe(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _PART.empty_table()
         k, sq, nn = ray.get(stat_ref)
         idx = pc.index_in(t["l_partkey"], value_set=k).to_numpy(
             zero_copy_only=False
@@ -3119,8 +3032,6 @@ def sessionize_events(sf_dir: str):
     )
 
     def sessions(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return _OUT.empty_table()
         tus = np.sort(group["tus"].to_numpy(zero_copy_only=False))
         gaps = np.diff(tus)
         bounds = np.flatnonzero(gaps > _SESSION_GAP_US)
@@ -3245,14 +3156,7 @@ def market_share(sf_dir: str):
         right_on=("s_suppkey",),
     )
 
-    _LPART = pa.schema(
-        [("l_orderkey", pa.int64()), ("is_target", pa.int64()),
-         ("rev", pa.int64())]
-    )
-
     def li_partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _LPART.empty_table()
         cents = _cents(t["l_extendedprice"]).to_numpy(zero_copy_only=False)
         disc = _cents(t["l_discount"]).to_numpy(zero_copy_only=False)
         is_target = pc.cast(
@@ -3306,13 +3210,7 @@ def market_share(sf_dir: str):
         right_on=("o_orderkey",),
     )
 
-    _GPART = pa.schema(
-        [("o_year", pa.int64()), ("is_target", pa.int64()), ("rev", pa.int64())]
-    )
-
     def year_partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _GPART.empty_table()
         g = (
             pa.table(
                 {
@@ -3452,15 +3350,9 @@ def late_sole_supplier(sf_dir: str):
         right_on=("o_orderkey",),
     )
 
-    _LPART = pa.schema(
-        [("l_orderkey", pa.int64()), ("l_suppkey", pa.int64()),
-         ("late", pa.int64())]
-    )
     late_us = _Q21_LATE_DAYS * 86_400_000_000
 
     def li_partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _LPART.empty_table()
         ship = pc.cast(t["l_shipdate"], pa.int64())
         cutoff = pc.add(pc.cast(t["o_orderdate"], pa.int64()),
                         pa.scalar(late_us, pa.int64()))
@@ -3480,8 +3372,6 @@ def late_sole_supplier(sf_dir: str):
     _ORD = pa.schema([("s_suppkey", pa.int64()), ("one", pa.int64())])
 
     def per_order(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return _ORD.empty_table()
         # Partials from different batches may repeat a (order, supplier)
         # pair — reduce to per-supplier max(late) first, then apply the
         # EXISTS / NOT-EXISTS counters.
@@ -3664,8 +3554,6 @@ def min_cost_supplier(sf_dir: str):
     )
 
     def argmin(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return _OUT.empty_table()
         cost = group["min(cost_e2)"]
         k = group.filter(pc.equal(cost, pc.min(cost)))
         return pa.table(
@@ -3840,14 +3728,7 @@ def product_profit(sf_dir: str):
         right_on=("o_orderkey",),
     )
 
-    _GPART = pa.schema(
-        [("nation", pa.string()), ("o_year", pa.int64()),
-         ("profit_e4", pa.int64())]
-    )
-
     def year_partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _GPART.empty_table()
         g = (
             pa.table(
                 {
@@ -3950,12 +3831,8 @@ def important_parts(sf_dir: str):
     if len(supp_keys) == 0:
         return _OUT.empty_table()
 
-    _PART = pa.schema([("p_partkey", pa.int64()), ("value_e2", pa.int64())])
-
     def partial(t: pa.Table) -> pa.Table:
         k = t.filter(pc.is_in(t["l_suppkey"], value_set=supp_keys))
-        if k.num_rows == 0:
-            return _PART.empty_table()
         g = (
             pa.table(
                 {
@@ -3992,8 +3869,6 @@ def important_parts(sf_dir: str):
                 pa.scalar(_Q11_MEAN_MULT * total, pa.int64()),
             )
         )
-        if k.num_rows == 0:
-            return _OUT.empty_table()
         return pa.table(
             {"p_partkey": k["p_partkey"], "value_e2": k["sum(value_e2)"]},
             schema=_OUT,
@@ -5034,8 +4909,6 @@ def activity_reconcile(sf_dir: str):
     )
 
     def ev_partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _EVP.empty_table()
         g = (
             pa.table(
                 {
@@ -5056,8 +4929,6 @@ def activity_reconcile(sf_dir: str):
 
     def hv_partial(t: pa.Table) -> pa.Table:
         t = t.filter(pc.greater(t["o_totalprice"], _RECON_MIN_PRICE))
-        if t.num_rows == 0:
-            return _HVP.empty_table()
         g = (
             pa.table(
                 {
@@ -5108,8 +4979,6 @@ def activity_reconcile(sf_dir: str):
     )
 
     def finalize(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _OUT.empty_table()
         ev_null = pc.is_null(t["n_events"])
         hv_null = pc.is_null(t["n_big_orders"])
         side = pc.if_else(
@@ -5237,8 +5106,6 @@ def bloom_semi_join(sf_dir: str):
 
     def bit_partial(t: pa.Table) -> pa.Table:
         t = t.filter(pc.equal(t["c_mktsegment"], _BLOOM_SEG))
-        if t.num_rows == 0:
-            return _BITS.empty_table()
         pos = np.unique(_bloom_positions(t["c_custkey"]).ravel())
         return pa.table({"bit": pa.array(pos)}, schema=_BITS)
 
@@ -5263,8 +5130,6 @@ def bloom_semi_join(sf_dir: str):
     )
 
     def probe_partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _CNT.empty_table()
         bm = ray.get(bm_ref)
         pos = _bloom_positions(t["o_custkey"])
         passed = bm[pos].all(axis=1)
@@ -5388,8 +5253,6 @@ def value_quantiles_sketch(sf_dir: str):
     _BP = pa.schema([("bin", pa.int64()), ("n", pa.int64())])
 
     def partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _BP.empty_table()
         cents = _cents(t["value"]).to_numpy(zero_copy_only=False)
         bins = np.minimum(cents // _QSK_WIDTH, _QSK_BINS - 1)
         uniq, counts = np.unique(bins, return_counts=True)
@@ -5502,8 +5365,6 @@ def snapshot_diff(sf_dir: str):
     _B = pa.schema([("doc_id", pa.int64()), ("text_b", pa.string())])
 
     def to_b(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _B.empty_table()
         ids = pc.cast(t["doc_id"], pa.int64())
         r = dd.hash_strings(pc.cast(ids, pa.string())) % _SNAP_MOD
         text = t["text"]
@@ -5539,8 +5400,6 @@ def snapshot_diff(sf_dir: str):
     _OUT = pa.schema([("doc_id", pa.int64()), ("change", pa.string())])
 
     def classify(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _OUT.empty_table()
         a_null = pc.is_null(t["text_a"])
         b_null = pc.is_null(t["text_b"])
         diff = pc.fill_null(

@@ -96,8 +96,6 @@ def boolean_and_counts(sf_dir: str):
     _HITS = pa.schema([("query_id", pa.int64()), ("doc_id", pa.int64())])
 
     def hits(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _HITS.empty_table()
         qids_out, docs_out = [], []
         for term, buf in zip(
             batch["term"].to_pylist(), batch["docids"].to_pylist()
@@ -125,8 +123,6 @@ def boolean_and_counts(sf_dir: str):
     _ONE = pa.schema([("query_id", pa.int64()), ("one", pa.int64())])
 
     def full_match(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _ONE.empty_table()
         q = pc.cast(t["query_id"], pa.int64()).to_numpy(zero_copy_only=False)
         n = pc.cast(t["count()"], pa.int64()).to_numpy(zero_copy_only=False)
         keep = n == qsize[q]
@@ -208,8 +204,6 @@ def term_prefix_counts(sf_dir: str):
     )
 
     def partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _PART.empty_table()
         df = pc.cast(batch["df"], pa.int64()).to_numpy(zero_copy_only=False)
         rows_p, rows_n, rows_s = [], [], []
         for p in _PREFIXES:
@@ -505,15 +499,11 @@ def suggest_terms(build_dir: str, words: list[str], k: int = _SUGGEST_K):
     )
 
     def candidates(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _CAND.empty_table()
         ln = pc.utf8_length(batch["term"])
         band = pc.and_(
             pc.greater_equal(ln, lo_len), pc.less_equal(ln, hi_len)
         )
         t = batch.filter(band)
-        if t.num_rows == 0:
-            return _CAND.empty_table()
         terms = t["term"]
         n = t.num_rows
         hit_rows: list[np.ndarray] = []
@@ -585,8 +575,6 @@ def suggest_terms(build_dir: str, words: list[str], k: int = _SUGGEST_K):
     # did — terms are unique across segment rows, so pairs are unique; the
     # groupby below is a per-input top-k merge, not a dedup
     def final(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return _CAND.empty_table()
         df_np = group["df"].to_numpy(zero_copy_only=False)
         term_np = group["term"].to_numpy(zero_copy_only=False)
         order = np.lexsort((term_np, -df_np))[:k]
@@ -771,8 +759,6 @@ def boolean_or_counts(sf_dir: str):
     _HITS = pa.schema([("query_id", pa.int64()), ("doc_id", pa.int64())])
 
     def hits(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _HITS.empty_table()
         qids_out, docs_out = [], []
         for term, buf in zip(
             batch["term"].to_pylist(), batch["docids"].to_pylist()
@@ -794,8 +780,6 @@ def boolean_or_counts(sf_dir: str):
     _ONE = pa.schema([("query_id", pa.int64()), ("one", pa.int64())])
 
     def ones(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _ONE.empty_table()
         return pa.table(
             {
                 "query_id": pc.cast(t["query_id"], pa.int64()),
@@ -864,8 +848,6 @@ def index_dictionary_stats(sf_dir: str):
     )
 
     def partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _PART.empty_table()
         df = pc.cast(t["df"], pa.int64())
         return pa.table(
             {
@@ -954,8 +936,6 @@ def facet_counts(sf_dir: str):
     _HITS = pa.schema([("query_id", pa.int64()), ("doc_id", pa.int64())])
 
     def hits(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _HITS.empty_table()
         qids_out, docs_out = [], []
         for term, buf in zip(
             batch["term"].to_pylist(), batch["docids"].to_pylist()
@@ -981,8 +961,6 @@ def facet_counts(sf_dir: str):
     )
 
     def full_match(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _HITS.empty_table()
         q = pc.cast(t["query_id"], pa.int64()).to_numpy(zero_copy_only=False)
         d = pc.cast(t["doc_id"], pa.int64()).to_numpy(zero_copy_only=False)
         n = pc.cast(t["count()"], pa.int64()).to_numpy(zero_copy_only=False)
@@ -1267,8 +1245,6 @@ def first_relevant_rank(sf_dir: str):
 
     def check(t: pa.Table) -> pa.Table:
         t = t.filter(pc.is_in(t["doc_id"], value_set=cand))
-        if t.num_rows == 0:
-            return _REL.empty_table()
         out_q, out_d = [], []
         for d, x in zip(t["doc_id"].to_pylist(), t["text"].to_pylist()):
             toks = set(tokenize(x or ""))
@@ -1385,8 +1361,6 @@ def query_expansion_terms(sf_dir: str):
 
     def doc_tf(t: pa.Table) -> pa.Table:
         t = t.filter(pc.is_in(t["doc_id"], value_set=cand))
-        if t.num_rows == 0:
-            return _TF.empty_table()
         toks, parent = flat_tokens(t["text"])
         ids = pc.cast(t["doc_id"], pa.int64()).to_numpy(zero_copy_only=False)
         g = (
@@ -1539,8 +1513,6 @@ def rerank_topk(sf_dir: str):
     )
 
     def feats(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _FEAT.empty_table()
         from ..functions.text import flat_tokens
 
         doc_ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)

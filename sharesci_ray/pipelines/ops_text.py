@@ -214,8 +214,6 @@ def bigram_counts(sf_dir: str):
 
     def partial(batch: pa.Table) -> pa.Table:
         bg, _parent = dd.token_shingles(batch["text"], k=2)
-        if not len(bg):
-            return pa.schema([("bigram", pa.string()), ("cnt", pa.int64())]).empty_table()
         g = pa.table({"bigram": bg}).group_by("bigram").aggregate([([], "count_all")])
         return pa.table(
             {"bigram": g["bigram"], "cnt": pc.cast(g["count_all"], pa.int64())}
@@ -305,10 +303,6 @@ def bigram_pmi_topk(sf_dir: str):
 
     def uni_partial(batch: pa.Table) -> pa.Table:
         flat, _parent = flat_tokens(batch["text"])
-        if len(flat) == 0:
-            return pa.schema(
-                [("term", pa.string()), ("ucnt", pa.int64())]
-            ).empty_table()
         g = pa.table({"term": flat}).group_by("term").aggregate([([], "count_all")])
         return pa.table(
             {"term": g["term"], "ucnt": pc.cast(g["count_all"], pa.int64())}
@@ -514,10 +508,6 @@ def phrase_match_counts_scan(sf_dir: str):
 
     def partial(batch: pa.Table) -> pa.Table:
         bg, parent = dd.token_shingles(batch["text"], k=2)
-        if not len(bg):
-            return pa.schema(
-                [("phrase", pa.string()), ("doc_id", pa.int64()), ("occ", pa.int64())]
-            ).empty_table()
         keep = pc.is_in(bg, value_set=phrase_set).to_numpy(zero_copy_only=False)
         idx = np.flatnonzero(keep)
         if idx.size == 0:
@@ -678,8 +668,6 @@ def unigram_logprob(sf_dir: str):
     _WT = pa.schema([("term", pa.string()), ("w", pa.int64())])
 
     def weigh(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _WT.empty_table()
         c = t["tf_total"].to_numpy(zero_copy_only=False).astype(np.float64)
         w = np.round(1_000_000.0 * np.log(c / total)).astype(np.int64)
         return pa.table({"term": t["term"], "w": pa.array(w)}, schema=_WT)
@@ -691,11 +679,7 @@ def unigram_logprob(sf_dir: str):
     )
 
     def tok_partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _TOKP.empty_table()
         flat, parent = flat_tokens(t["text"])
-        if len(flat) == 0:
-            return _TOKP.empty_table()
         ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         g = (
             pa.table({"doc_id": pa.array(ids[parent]), "term": flat})
@@ -719,8 +703,6 @@ def unigram_logprob(sf_dir: str):
     )
 
     def doc_partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _PART.empty_table()
         c = t["c"].to_numpy(zero_copy_only=False).astype(np.int64)
         w = t["w"].to_numpy(zero_copy_only=False).astype(np.int64)
         g = (
@@ -782,10 +764,6 @@ def stratified_sample(sf_dir: str):
     docs = read_table(sf_dir, "documents", columns=["doc_id", "lang"])
 
     def pick(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return pa.schema(
-                [("doc_id", pa.int64()), ("lang", pa.string())]
-            ).empty_table()
         g = group.sort_by([("doc_id", "ascending")])
         sel = np.arange(0, g.num_rows, _STRATA_K)
         return pa.table(
@@ -999,8 +977,6 @@ def clean_chunks(sf_dir: str):
     )
 
     def keeper_ids(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.schema([("keep_id", pa.int64())]).empty_table()
         return pa.table({"keep_id": pc.cast(t["min(doc_id)"], pa.int64())})
 
     keepers = keepers.map_batches(keeper_ids, batch_format="pyarrow",
@@ -1046,8 +1022,6 @@ def hash_sample(sf_dir: str):
     docs = read_table(sf_dir, "documents", columns=["doc_id", "lang", "n_chars"])
 
     def pick(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch
         ids = pc.cast(batch["doc_id"], pa.string())
         h = dd.hash_strings(ids) % 100
         return batch.filter(pa.array(h < _HASH_SAMPLE_PCT))
@@ -1094,8 +1068,6 @@ def domain_mix_report(sf_dir: str):
     )
 
     def partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _PART.empty_table()
         _, parent = flat_tokens(batch["text"])
         per_row = np.zeros(batch.num_rows, dtype=np.int64)
         np.add.at(per_row, parent, 1)
@@ -1169,8 +1141,6 @@ def lang_confusion(sf_dir: str):
     )
 
     def fn(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _PART.empty_table()
         flat, parent = flat_tokens(batch["text"])
         n = batch.num_rows
         hits = np.zeros((n, len(langs)), dtype=np.int64)
@@ -1262,13 +1232,7 @@ def top_terms_per_lang(sf_dir: str):
         int64_cols=("tf_total",),
     )
 
-    _SCHEMA = pa.schema(
-        [("lang", pa.string()), ("term", pa.string()), ("tf_total", pa.int64())]
-    )
-
     def topk_partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _SCHEMA.empty_table()
         out = []
         for lang_val in pc.unique(t["lang"]).to_pylist():
             sub = t.filter(pc.equal(t["lang"], lang_val))
@@ -1399,14 +1363,7 @@ def source_quality_report(sf_dir: str):
 
     docs = read_table(sf_dir, "documents", columns=["source", "text"])
 
-    _PART = pa.schema(
-        [("source", pa.string()), ("docs", pa.int64()), ("chars", pa.int64()),
-         ("toks", pa.int64()), ("punct", pa.int64()), ("digit", pa.int64())]
-    )
-
     def partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _PART.empty_table()
         text = t["text"]
         n_chars = pc.utf8_length(text)
         _, parent = flat_tokens(text)
@@ -1509,8 +1466,6 @@ def hot_ngram_report(sf_dir: str):
 
     def partial(t: pa.Table) -> pa.Table:
         grams, parent = dd.token_shingles(t["text"], k=_HOT_NGRAM_K)
-        if not len(grams):
-            return _PART.empty_table()
         ids = t["doc_id"].to_numpy(zero_copy_only=False)[parent]
         per_doc = (
             pa.table({"gram": grams, "doc_id": pa.array(ids)})
@@ -1604,8 +1559,6 @@ def bigram_logprob(sf_dir: str):
     )
 
     def bigrams(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _BG.empty_table()
         flat, parent = flat_tokens(t["text"])
         n = len(flat)
         if n < 2:
@@ -1628,8 +1581,6 @@ def bigram_logprob(sf_dir: str):
 
     def cnt_partial(t: pa.Table) -> pa.Table:
         b = bigrams(t)
-        if b.num_rows == 0:
-            return _CNT.empty_table()
         g = (
             pa.table({"w1": b["w1"], "w2": b["w2"]})
             .group_by(["w1", "w2"])
@@ -1673,8 +1624,6 @@ def bigram_logprob(sf_dir: str):
     )
 
     def weigh(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _WT.empty_table()
         c = t["c"].to_numpy(zero_copy_only=False).astype(np.float64)
         cl = t["cl"].to_numpy(zero_copy_only=False).astype(np.float64)
         w = np.round(1_000_000.0 * np.log(c / cl)).astype(np.int64)
@@ -1695,8 +1644,6 @@ def bigram_logprob(sf_dir: str):
     )
 
     def doc_partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _PART.empty_table()
         g = (
             pa.table(
                 {

@@ -73,7 +73,8 @@ def drop_empty_blocks(ds: ray.data.Dataset, schema: pa.Schema) -> ray.data.Datas
 
     Ray 2.49 loses the schema of empty blocks (a 0-row block is stored with
     ZERO columns): a sparse-keyed ``groupby``/shuffle emits such blocks for
-    empty partitions, and a map over zero rows returns no schema at all.
+    empty partitions, and a ``map_batches`` passes them through unchanged
+    (it never calls its fn on a 0-row block; see ``topk.partial_topk``).
     ``join`` heals its inputs and output with this; ops call it only to
     give a possibly-empty returned output its columns.  Only block REFS
     travel through the driver (row counts come from the bundle metadata —

@@ -146,8 +146,6 @@ def assign_doc_ids(ds: ray.data.Dataset, base: int = 0) -> ray.data.Dataset:
 
     def attach(group: pa.Table) -> pa.Table:
         """One source block's rank rows → the block with its id column."""
-        if group.num_rows == 0:
-            return group
         b = int(group["block"][0].as_py())
         blk = ray.get(refs[b])
         ids = np.empty(blk.num_rows, dtype=np.int64)
@@ -185,20 +183,6 @@ def to_term_vectors(
     default is the shared code-aware tokenizer (functions/text.py).
     """
     has_id = "doc_id" in batch.column_names
-    fields = ([("doc_id", pa.int64())] if has_id else []) + [
-        ("repo", pa.string()),
-        ("path", pa.string()),
-        ("commit", pa.string()),
-        ("lang", pa.string()),
-        ("content_sha256", pa.string()),
-        ("doc_len", pa.int64()),
-        ("terms", pa.list_(pa.string())),
-        ("tfs", pa.list_(pa.int32())),
-    ]
-    if positions:
-        fields.append(("positions", pa.list_(pa.int32())))
-    if batch.num_rows == 0:  # sparse-keyed shuffles emit schema-less empties
-        return pa.schema(fields).empty_table()
     flat, parent = tokenizer(batch["content"])
     n_rows = batch.num_rows
     # doc_len = total token occurrences per row

@@ -320,8 +320,6 @@ def make_packed_encoder(
     then the shared run encoder."""
 
     def encode(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return SEGMENT_SCHEMA.empty_table()
         has_pos = "pos_vb" in group.column_names
         term_parts, did_parts, tf_parts, dl_parts, salt_parts = [], [], [], [], []
         pos_parts = []

@@ -59,3 +59,23 @@ def test_killed_sweep_leaves_only_partial_then_resumes(
     with open(out) as f:
         assert json.load(f) == res
     assert not os.path.exists(out + ".partial")
+
+
+@pytest.mark.parametrize("which", ["sweep", "driver_parity"])
+def test_canon_null_matches_null_never_a_number(which):
+    """A NULL float cell (NaN in pandas) canonicalizes to one token: NaN
+    equals NaN (and None), and still never equals 0.0."""
+    if which == "sweep":
+        canon = _sweep()._canon
+    else:
+        from tests.test_driver_parity import _canon as canon
+
+    def c(v):
+        return canon(pd.DataFrame({"x": pd.Series([v], dtype=object)}))
+
+    nan = float("nan")
+    assert c(nan) == c(nan)
+    assert c(nan) == c(None)
+    assert c(nan) != c(0.0)
+    assert canon(pd.DataFrame({"x": [nan]})) == canon(pd.DataFrame({"x": [nan]}))
+    assert canon(pd.DataFrame({"x": [nan]})) != canon(pd.DataFrame({"x": [0.0]}))

@@ -570,3 +570,61 @@ def test_join_matches_pyarrow_join(
     )
     want_rows = sorted(zip(*want.to_pydict().values()), key=repr)
     assert got_rows == want_rows
+
+
+def test_ray_never_maps_zero_rows(ray_session):
+    """The contract every map fn under sharesci_ray/ relies on instead of
+    a zero-row guard: ``map_batches`` passes a 0-row block through without
+    calling its fn, and ``map_groups`` only calls its fn on a non-empty
+    group.  Checked for pyarrow and numpy batches, ``batch_size`` None (the
+    default: one batch per block) and 3, a function and a callable class,
+    over a filter that empties most blocks, a sparse-keyed groupby's
+    schema-less blocks and a 0-row dataset.  A Ray upgrade that breaks it
+    fails here."""
+    import pyarrow.compute as pc
+    import ray
+    import ray.data
+
+    # defined here so Ray pickles them by value (workers cannot import
+    # the test module)
+    def strict(batch):
+        """A map fn that refuses a 0-row batch and passes rows through."""
+        rows = (
+            batch.num_rows if isinstance(batch, pa.Table)
+            else len(next(iter(batch.values())))
+        )
+        if rows == 0:
+            raise AssertionError("Ray handed a 0-row batch to a map fn")
+        return batch
+
+    class Strict:
+        def __call__(self, batch):
+            return strict(batch)
+
+    sch = pa.schema([("k", pa.int64()), ("v", pa.int64())])
+    tbl = pa.table({"k": np.arange(40) % 3, "v": np.arange(40)}, schema=sch)
+    blocks = ray.data.from_arrow([tbl.slice(i, 4) for i in range(0, 40, 4)])
+    filtered = blocks.map_batches(
+        lambda t: t.filter(pc.less(t["v"], 6)), batch_format="pyarrow"
+    ).materialize()
+    sparse = blocks.repartition(8).groupby("k").map_groups(
+        lambda g: g, batch_format="pyarrow"
+    ).materialize()
+    counts = blocks.repartition(8).groupby("k").count().materialize()
+    empty = ray.data.from_arrow(sch.empty_table()).materialize()
+
+    def block_rows(ds):
+        return [m.num_rows for b in ds.iter_internal_ref_bundles() for m in b.metadata]
+
+    # the inputs really hold 0-row blocks, schema-less ones included
+    assert 0 in block_rows(filtered) and 0 in block_rows(sparse)
+    assert 0 in block_rows(counts) and block_rows(empty) == [0]
+    assert not all(b.num_columns for b in ray.get(sparse.to_arrow_refs()))
+
+    for ds, n in ((filtered, 6), (sparse, 40), (counts, 3), (empty, 0)):
+        for fmt in ("pyarrow", "numpy"):
+            for size in (None, 3):  # None is the default
+                for fn, kw in ((strict, {}), (Strict, {"concurrency": 1})):
+                    out = ds.map_batches(fn, batch_format=fmt, batch_size=size, **kw)
+                    assert out.count() == n
+            assert ds.groupby("k").map_groups(strict, batch_format=fmt).count() == n

@@ -95,30 +95,6 @@ def test_fingerprint_column_vectorized_edge_sweep():
     assert (fingerprint_column(col.slice(7, 90)) == ref[7:97]).all()
 
 
-def test_hash_tokens_u64_gather_matches_blake2b():
-    """The per-occurrence path is a vectorized index_in gather (VERDICT r3
-    #8): values equal blake2b(digest8) per token, duplicates included."""
-    import hashlib
-
-    import numpy as np
-
-    from sharesci_ray.functions.hashing import _hash_tokens_u64
-
-    toks = ["ab", "cd", "ab", "zz", "cd", "cd", "é"]
-    got = _hash_tokens_u64(pa.array(toks))
-    ref = np.array(
-        [
-            int.from_bytes(
-                hashlib.blake2b(t.encode("utf-8"), digest_size=8).digest(), "little"
-            )
-            for t in toks
-        ],
-        dtype=np.uint64,
-    )
-    assert (got == ref).all()
-    assert _hash_tokens_u64(pa.array([], pa.string())).size == 0
-
-
 def test_doc_fingerprint_min_shingle_semantics(ray_session):
     from sharesci_ray.functions import dedup as dd
     from sharesci_ray.pipelines.ops_text import doc_fingerprint

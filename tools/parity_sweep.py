@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -67,7 +68,9 @@ def _canon(df) -> list[tuple]:
     for tup in df.itertuples(index=False, name=None):
         canon = []
         for v in tup:
-            if isinstance(v, float):
+            if v is None or (isinstance(v, float) and math.isnan(v)):
+                canon.append(("null",))  # NULL == NULL, never == a number
+            elif isinstance(v, float):
                 canon.append(("f", v))
             elif hasattr(v, "to_pydatetime"):
                 canon.append(("t", v.to_pydatetime()))
